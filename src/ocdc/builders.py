@@ -14,8 +14,8 @@ from typing import Optional, Union
 from .graphs import (Graph, RotationSystem, complete, complete_bipartite,
                      faces as face_walks, is_bridgeless)
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
-                     double_cycle_decomposition, orient_cdc, verify_ocdc,
-                     verify_oppdc, verify_socdc)
+                     InternalConsistencyError, double_cycle_decomposition,
+                     orient_cdc, verify_ocdc, verify_oppdc, verify_socdc)
 from .surgery import join_apex
 
 
@@ -29,10 +29,6 @@ class NotPlanarEmbedding(ValueError):
 
 class DeskScaleError(ValueError):
     """Instance too large for the exhaustive methods this toolkit trusts."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A construction the theory guarantees failed to verify."""
 
 
 def ocdc_k4() -> CoverCertificate:

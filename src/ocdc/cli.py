@@ -16,7 +16,7 @@ from .graphs import (Graph, FamilyError, Graph6ParseError, RotationError,
                      blocks, bridges, generate, girth_and_average_degree,
                      is_bridgeless, nontrivial_3_edge_cuts, parse_graph6,
                      emit_graph6, planar_rotation, vertex_connectivity_at_most)
-from .covers import CoverCertificate, MalformedCoverError
+from .covers import CoverCertificate, InternalConsistencyError, MalformedCoverError
 from . import builders
 from .builders import (DeskScaleError, NoSocdcExists, NotPlanarEmbedding,
                        edge_color_cubic)
@@ -181,8 +181,6 @@ def cmd_compose(args) -> int:
 
 def cmd_search(args) -> int:
     what = args.what
-    if args.threads < 1:
-        raise FamilyError("--threads must be positive")
     g = _load_graph(args)
     if what == "filter":
         failed = counterexample_filter(g)
@@ -261,8 +259,17 @@ def cmd_analyze(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the operational-failure code; argparse's own 2
+    would read as a mathematical negative."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ocdc",
         description="oriented cycle double covers: build, compose, search, verify")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", dest="node_budget", type=int)
     p.add_argument("--time-budget", dest="time_budget", type=float,
                    help="wall-clock seconds")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; results are scheduling-independent")
     add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -336,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 NEGATIVE_ERRORS = (NoSocdcExists, NotPlanarEmbedding)
 OPERATIONAL_ERRORS = (FamilyError, Graph6ParseError, RotationError,
                       MalformedCoverError, SpecError, CertificateInconsistency,
-                      DeskScaleError, SearchUnresolved, ValueError,
-                      OSError, json.JSONDecodeError)
+                      DeskScaleError, SearchUnresolved, InternalConsistencyError,
+                      ValueError, OSError, json.JSONDecodeError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -19,6 +19,10 @@ class MalformedCoverError(ValueError):
     """Structurally invalid cycle/path/certificate input."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """A construction the theory guarantees failed to verify."""
+
+
 @dataclass(frozen=True)
 class DirectedCycle:
     """Simple directed cycle [v1,...,vk], k >= 3, with implicit closing arc."""

@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (Graph, bridges, is_bridgeless, nontrivial_3_edge_cuts,
                      vertex_connectivity_at_most)
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
-                     orient_cdc, verify_cdc, verify_ocdc, verify_oppdc)
+                     InternalConsistencyError, VerifyReport, orient_cdc,
+                     verify_ocdc, verify_oppdc)
 
 
 class BudgetExceeded(Exception):
@@ -43,7 +44,6 @@ class SearchOutcome:
     certificate: Optional[CoverCertificate] = None
     lower_bound: int = 0
     nodes_expanded: int = 0
-    budget: Budget = field(default_factory=Budget)
 
     @property
     def found(self) -> bool:
@@ -53,82 +53,98 @@ class SearchOutcome:
 class CoverEngine:
     """Exact cover with column multiplicities and a row-count cap.
 
-    rows: sequence of column-id tuples.  weight(r) counts the row's
+    rows: iterable of rows, each an iterable of column ids; both are read
+    once, so generators serve.  weight(r) counts the row's
     weighted columns (arcs); together with max_weight it drives the
     lower-bound prune  ceil(remaining_weighted / max_weight) <= rows_left.
+
+    Internally a set of rows is an int bitmask over row indices: each column
+    has the mask of the rows that hit it, and the search carries the mask of
+    rows still usable (none of their columns saturated).
     """
 
-    def __init__(self, col_need: dict, rows: Sequence[tuple], weights: Sequence[int],
+    def __init__(self, col_need: dict, rows: Iterable[Iterable], weights: Sequence[int],
                  weighted_cols: set):
-        self.col_need = dict(col_need)
-        self.rows = [tuple(r) for r in rows]
-        self.weights = list(weights)
-        self.weighted_cols = set(weighted_cols)
         self.max_weight = max(weights, default=1) or 1
-        self.rows_by_col: dict = {c: [] for c in col_need}
-        for ri, cols in enumerate(self.rows):
-            for c in cols:
-                self.rows_by_col[c].append(ri)
+        # Columns in the order the branching column is chosen: sorted by repr,
+        # ties broken by that order.
+        cols = sorted(col_need, key=repr)
+        self.need = [col_need[c] for c in cols]
+        index = {c: j for j, c in enumerate(cols)}
+        self.row_cols = [tuple(map(index.__getitem__, r)) for r in rows]
+        weighted = [c in weighted_cols for c in cols]
+        self.row_weight = [sum(map(weighted.__getitem__, r)) for r in self.row_cols]
+        self.weighted_need = sum(k for k, w in zip(self.need, weighted) if w)
+        bits = [bytearray(len(self.row_cols) // 8 + 1) for _ in cols]
+        for ri, row in enumerate(self.row_cols):
+            byte, bit = ri >> 3, 1 << (ri & 7)
+            for j in row:
+                bits[j][byte] |= bit
+        self.colrows = [int.from_bytes(b, "little") for b in bits]
         self.nodes = 0
 
     def solutions(self, max_rows: int, node_limit: Optional[int] = None,
                   deadline: Optional[float] = None) -> Iterator[list[int]]:
-        """Yield covers as sorted row-index lists (repetition allowed)."""
-        need = dict(self.col_need)
-        blocked = [0] * len(self.rows)  # count of this row's columns at need 0
-        remaining_weighted = sum(need[c] for c in need if c in self.weighted_cols)
+        """Yield covers as sorted row-index lists (repetition allowed), each
+        multiset of rows once."""
+        need = list(self.need)
+        colrows, row_cols, row_weight = self.colrows, self.row_cols, self.row_weight
+        max_weight = self.max_weight
+        col_order = range(len(need))
         chosen: list[int] = []
         self.nodes = 0
 
-        def consume(ri: int, sign: int):
-            nonlocal remaining_weighted
-            for c in self.rows[ri]:
-                if sign > 0:
-                    need[c] -= 1
-                    if c in self.weighted_cols:
-                        remaining_weighted -= 1
-                    if need[c] == 0:
-                        for r2 in self.rows_by_col[c]:
-                            blocked[r2] += 1
-                else:
-                    if need[c] == 0:
-                        for r2 in self.rows_by_col[c]:
-                            blocked[r2] -= 1
-                    need[c] += 1
-                    if c in self.weighted_cols:
-                        remaining_weighted += 1
-
-        def rec() -> Iterator[list[int]]:
-            open_cols = [c for c, k in need.items() if k > 0]
+        def rec(alive: int, open_cols: int, weighted: int) -> Iterator[list[int]]:
             if not open_cols:
                 yield sorted(chosen)
                 return
             rows_left = max_rows - len(chosen)
-            if rows_left <= 0:
+            if rows_left <= 0 or weighted > rows_left * max_weight:
                 return
-            if remaining_weighted > rows_left * self.max_weight:
-                return
-            best_col, best_cands = None, None
-            for c in sorted(open_cols, key=repr):
-                cands = [r for r in self.rows_by_col[c] if blocked[r] == 0]
-                if best_cands is None or len(cands) < len(best_cands):
-                    best_col, best_cands = c, cands
-                    if not cands:
-                        return
-            for ri in best_cands:
+            best, best_count = -1, -1
+            for j in col_order:
+                if need[j] > 0:
+                    count = (colrows[j] & alive).bit_count()
+                    if best < 0 or count < best_count:
+                        if not count:
+                            return
+                        best, best_count = j, count
+            # A child left with more weight than its rows can carry still has
+            # an open column, so it would return at once: count it, skip it.
+            child_cap = (rows_left - 1) * max_weight
+            cands = colrows[best] & alive
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                ri = low.bit_length() - 1
                 self.nodes += 1
                 if node_limit is not None and self.nodes > node_limit:
                     raise BudgetExceeded
                 if deadline is not None and self.nodes % 512 == 0 \
                         and time.monotonic() > deadline:
                     raise BudgetExceeded
-                consume(ri, +1)
-                chosen.append(ri)
-                yield from rec()
-                chosen.pop()
-                consume(ri, -1)
+                child_weighted = weighted - row_weight[ri]
+                if child_weighted <= child_cap:
+                    sub_alive, sub_open = alive, open_cols
+                    for j in row_cols[ri]:
+                        need[j] -= 1
+                        if need[j] == 0:
+                            sub_alive &= ~colrows[j]
+                            sub_open -= 1
+                    chosen.append(ri)
+                    yield from rec(sub_alive, sub_open, child_weighted)
+                    chosen.pop()
+                    for j in row_cols[ri]:
+                        need[j] += 1
+                # Later siblings never use this row again, so the rows hitting
+                # the branching column are chosen in nondecreasing index order
+                # and each multiset is reached once (Knuth's Algorithm M).  A
+                # column that needs one hit saturates in every branch, killing
+                # its rows anyway, so there this changes nothing.
+                alive ^= low
 
-        yield from rec()
+        yield from rec((1 << len(row_cols)) - 1, sum(k > 0 for k in need),
+                       self.weighted_need)
 
     def first_solution(self, max_rows: int, node_limit: Optional[int] = None,
                        deadline: Optional[float] = None) -> Optional[list[int]]:
@@ -141,6 +157,72 @@ class CoverEngine:
 # Row generators
 # ---------------------------------------------------------------------------
 
+def _cycle_rows(g: Graph, max_len: Optional[int], both_directions: bool
+                ) -> list[tuple[int, ...]]:
+    """Vertex tuples of the simple cycles, ordered by length then
+    lexicographic vertex sequence.
+
+    Each cycle is anchored at its least vertex r.  The search walks every
+    simple path r, v1, ..., vk through vertices above r, so it meets both
+    directions of each cycle: (r, v1, ..., vk) and (r, vk, ..., v1).  The
+    reference direction is the one with v1 < vk; both_directions keeps the
+    other too.
+    """
+    cap = max_len if max_len is not None else g.n
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max(cap, 0) + 1)]
+    path: list[int] = []
+    on_path = [False] * g.n
+    for root in range(g.n):
+        up = [[w for w in g.neighbors(u) if w > root] for u in range(g.n)]
+        closes = [False] * g.n
+        for w in g.neighbors(root):
+            closes[w] = True
+        path.append(root)
+
+        def extend(u: int, depth: int):
+            depth += 1  # path length once w is appended
+            for w in up[u]:
+                if not on_path[w]:
+                    path.append(w)
+                    if closes[w] and depth >= 3 and (both_directions or path[1] < w):
+                        by_len[depth].append(tuple(path))
+                    if depth < cap:
+                        on_path[w] = True
+                        extend(w, depth)
+                        on_path[w] = False
+                    path.pop()
+
+        extend(root, 1)
+        path.pop()
+    return [vs for rows in by_len for vs in sorted(rows)]
+
+
+def _path_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex tuples of the simple directed paths, including the n
+    degenerate ones, ordered by length then lexicographic."""
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
+    path: list[int] = []
+    on_path = [False] * g.n
+
+    def extend(u: int):
+        path.append(u)
+        on_path[u] = True
+        by_len[len(path)].append(tuple(path))
+        for w in g.neighbors(u):
+            if not on_path[w]:
+                extend(w)
+        on_path[u] = False
+        path.pop()
+
+    for v in range(g.n):
+        extend(v)
+    return [vs for rows in by_len for vs in sorted(rows)]
+
+
+def _cycle_arcs(vs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    return zip(vs, vs[1:] + vs[:1])
+
+
 def enumerate_undirected_cycles(g: Graph, max_len: Optional[int] = None) -> list[DirectedCycle]:
     """All simple cycles, one reference direction each, ordered by length
     then lexicographic vertex sequence.
@@ -148,72 +230,31 @@ def enumerate_undirected_cycles(g: Graph, max_len: Optional[int] = None) -> list
     Each cycle is anchored at its least vertex with second vertex smaller
     than the last, which fixes the reference direction.
     """
-    cap = max_len if max_len is not None else g.n
-    out: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], on_path: set[int]):
-        u = path[-1]
-        root = path[0]
-        for w in g.neighbors(u):
-            if w == root and len(path) >= 3 and path[1] < path[-1]:
-                out.append(tuple(path))
-            elif w > root and w not in on_path and len(path) < cap:
-                on_path.add(w)
-                path.append(w)
-                extend(path, on_path)
-                path.pop()
-                on_path.discard(w)
-
-    for root in range(g.n):
-        extend([root], {root})
-    out.sort(key=lambda vs: (len(vs), vs))
-    return [DirectedCycle(vs) for vs in out]
+    return [DirectedCycle(vs) for vs in _cycle_rows(g, max_len, False)]
 
 
 def enumerate_directed_cycles(g: Graph, max_len: Optional[int] = None) -> list[DirectedCycle]:
     """All simple directed cycles of the symmetric orientation in canonical
     form, ordered by length then lexicographic."""
-    both = []
-    for c in enumerate_undirected_cycles(g, max_len):
-        both.append(c.vertices)
-        both.append(c.reversed().canonical().vertices)
-    both.sort(key=lambda vs: (len(vs), vs))
-    return [DirectedCycle(vs) for vs in both]
+    return [DirectedCycle(vs) for vs in _cycle_rows(g, max_len, True)]
 
 
 def enumerate_directed_paths(g: Graph) -> list[DirectedPath]:
     """All simple directed paths, including the n degenerate ones, ordered
     by length then lexicographic."""
-    out: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
-
-    def extend(path: list[int], on_path: set[int]):
-        for w in g.neighbors(path[-1]):
-            if w not in on_path:
-                on_path.add(w)
-                path.append(w)
-                out.append(tuple(path))
-                extend(path, on_path)
-                path.pop()
-                on_path.discard(w)
-
-    for v in range(g.n):
-        extend([v], {v})
-    out.sort(key=lambda vs: (len(vs), vs))
-    return [DirectedPath(vs) for vs in out]
+    return [DirectedPath(vs) for vs in _path_rows(g)]
 
 
 # ---------------------------------------------------------------------------
 # Searches
 # ---------------------------------------------------------------------------
 
-def _ocdc_engine(g: Graph) -> tuple[CoverEngine, list[DirectedCycle]]:
-    rows = enumerate_directed_cycles(g)
-    arcs = set(g.arcs())
-    engine = CoverEngine({a: 1 for a in arcs},
-                         [c.arcs() for c in rows],
-                         [len(c) for c in rows],
-                         arcs)
-    return engine, rows
+def _certified(rep: VerifyReport, what: str) -> None:
+    """Refuse to hand out a search result that fails its own verifier.  An
+    explicit check, not an assert, so it also runs under python -O."""
+    if not rep.ok:
+        raise InternalConsistencyError(
+            f"{what} produced a cover that fails verification: {rep.violations[:5]}")
 
 
 def min_ocdc(g: Graph, max_count: int, node_budget: Optional[int] = None,
@@ -227,30 +268,31 @@ def min_ocdc(g: Graph, max_count: int, node_budget: Optional[int] = None,
     """
     if not is_bridgeless(g):
         raise ValueError("OCDC search requires a bridgeless graph")
-    engine, rows = _ocdc_engine(g)
-    longest = max((len(c) for c in rows), default=1)
+    rows = _cycle_rows(g, None, True)
+    arcs = set(g.arcs())
+    engine = CoverEngine({a: 1 for a in arcs}, (_cycle_arcs(vs) for vs in rows),
+                         [len(vs) for vs in rows], arcs)
+    longest = max((len(vs) for vs in rows), default=1)
     lower = max(1, math.ceil(2 * g.m / longest))
     if not prove_minimum:
         lower = max(lower, max_count)
     nodes_total = 0
-    budget = Budget(node_budget, time_budget)
-    deadline = budget.deadline()
+    deadline = Budget(node_budget, time_budget).deadline()
     for k in range(lower, max_count + 1):
         try:
             limit = None if node_budget is None else node_budget - nodes_total
             sol = engine.first_solution(k, limit, deadline)
         except BudgetExceeded:
-            return SearchOutcome("Unresolved", None, lower,
-                                 nodes_total + engine.nodes, budget)
+            return SearchOutcome("Unresolved", None, lower, nodes_total + engine.nodes)
         nodes_total += engine.nodes
         if sol is not None:
-            cycles = [rows[i] for i in sol]
-            assert verify_ocdc(g, cycles).ok
+            cycles = [DirectedCycle(rows[i]) for i in sol]
+            _certified(verify_ocdc(g, cycles), "min_ocdc")
             cert = CoverCertificate(g, "SOCDC" if len(cycles) <= g.n - 1 else "OCDC",
                                     cycles, f"min_ocdc k={k}")
-            return SearchOutcome("Found", cert, k, nodes_total, budget)
+            return SearchOutcome("Found", cert, k, nodes_total)
         lower = k + 1
-    return SearchOutcome("NoneExists", None, lower, nodes_total, budget)
+    return SearchOutcome("NoneExists", None, lower, nodes_total)
 
 
 def find_socdc(g: Graph, node_budget: Optional[int] = None,
@@ -258,8 +300,9 @@ def find_socdc(g: Graph, node_budget: Optional[int] = None,
                prove_minimum: bool = True) -> SearchOutcome:
     """An OCDC with at most n-1 cycles, or proof none exists."""
     out = min_ocdc(g, g.n - 1, node_budget, time_budget, prove_minimum)
-    if out.found:
-        assert out.certificate is not None and out.certificate.kind == "SOCDC"
+    if out.found and out.certificate.kind != "SOCDC":
+        raise InternalConsistencyError(
+            f"find_socdc produced {len(out.certificate.elements)} cycles on {g.n} vertices")
     return out
 
 
@@ -269,41 +312,43 @@ def find_oppdc(g: Graph, node_budget: Optional[int] = None,
     one start slot and one end slot per vertex."""
     if not g.is_connected():
         raise ValueError("OPPDC search requires a connected graph")
-    rows = enumerate_directed_paths(g)
+    rows = _path_rows(g)
     if g.n >= 2:
-        rows = [p for p in rows if len(p) > 1]
+        rows = [vs for vs in rows if len(vs) > 1]
     arcs = set(g.arcs())
     need = {a: 1 for a in arcs}
     for v in range(g.n):
         need[("s", v)] = 1
         need[("e", v)] = 1
-    cols = [tuple(p.arcs()) + (("s", p.start), ("e", p.end)) for p in rows]
-    engine = CoverEngine(need, cols, [max(len(p) - 1, 0) for p in rows], arcs)
-    budget = Budget(node_budget, time_budget)
+    cols = (itertools.chain(zip(vs, vs[1:]), (("s", vs[0]), ("e", vs[-1]))) for vs in rows)
+    engine = CoverEngine(need, cols, [len(vs) - 1 for vs in rows], arcs)
     try:
-        sol = engine.first_solution(g.n, node_budget, budget.deadline())
+        sol = engine.first_solution(g.n, node_budget,
+                                    Budget(node_budget, time_budget).deadline())
     except BudgetExceeded:
-        return SearchOutcome("Unresolved", None, 0, engine.nodes, budget)
+        return SearchOutcome("Unresolved", None, 0, engine.nodes)
     if sol is None:
-        return SearchOutcome("NoneExists", None, g.n + 1, engine.nodes, budget)
-    paths = [rows[i] for i in sol]
-    assert verify_oppdc(g, paths).ok
+        return SearchOutcome("NoneExists", None, g.n + 1, engine.nodes)
+    paths = [DirectedPath(rows[i]) for i in sol]
+    _certified(verify_oppdc(g, paths), "find_oppdc")
     cert = CoverCertificate(g, "OPPDC", paths, "find_oppdc")
-    return SearchOutcome("Found", cert, len(paths), engine.nodes, budget)
+    return SearchOutcome("Found", cert, len(paths), engine.nodes)
 
 
 def enumerate_cdcs(g: Graph, node_budget: Optional[int] = None,
                    max_count: Optional[int] = None) -> Iterator[list[DirectedCycle]]:
-    """Stream CDCs (reference-directed cycles, each edge covered twice)."""
-    rows = enumerate_undirected_cycles(g)
+    """Stream CDCs (reference-directed cycles, each edge covered twice),
+    each multiset of cycles once."""
+    rows = _cycle_rows(g, None, False)
     edges = set(g.edges)
     engine = CoverEngine({e: 2 for e in edges},
-                         [c.edges() for c in rows],
-                         [len(c) for c in rows],
+                         (((u, v) if u < v else (v, u) for u, v in _cycle_arcs(vs))
+                          for vs in rows),
+                         [len(vs) for vs in rows],
                          edges)
     cap = max_count if max_count is not None else 2 * g.m // 3
     for sol in engine.solutions(cap, node_budget):
-        yield [rows[i] for i in sol]
+        yield [DirectedCycle(rows[i]) for i in sol]
 
 
 def find_unorientable_cdc(g: Graph, node_budget: Optional[int] = None

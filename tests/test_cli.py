@@ -132,9 +132,21 @@ class TestSearch:
                            "--family", "cycle:6")
         assert code == 2
 
-    def test_threads_validated(self, capsys):
-        assert run(capsys, "search", "socdc", "--family", "cycle:5",
-                   "--threads", "0")[0] == 1
+    def test_unknown_option_exits_1(self, capsys):
+        # bad usage is an operational failure, not a mathematical negative
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "socdc", "--family", "cycle:5", "--bogus"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_unverified_result_exits_1(self, capsys, monkeypatch):
+        from ocdc import search
+        from ocdc.covers import VerifyReport
+        monkeypatch.setattr(search, "verify_ocdc",
+                            lambda g, cycles: VerifyReport(False, [("arc", 0, 1)]))
+        code, out, err = run(capsys, "search", "socdc", "--family", "cycle:5")
+        assert code == 1 and out == ""
+        assert "fails verification" in err and "Traceback" not in err
 
 
 class TestCompose:

@@ -6,10 +6,12 @@ import itertools
 import networkx as nx
 import pytest
 
+from ocdc import search
 from ocdc.graphs import (Graph, complete, complete_bipartite, cycle, path,
                          petersen, k4_chain, wheel, prism)
-from ocdc.covers import (DirectedCycle, Infeasible, orient_cdc, verify_cdc,
-                         verify_ocdc, verify_oppdc)
+from ocdc.covers import (DirectedCycle, Infeasible, InternalConsistencyError,
+                         VerifyReport, orient_cdc, verify_cdc, verify_ocdc,
+                         verify_oppdc)
 from ocdc.search import (Budget, CoverEngine, enumerate_undirected_cycles,
                          enumerate_directed_cycles, enumerate_directed_paths,
                          enumerate_cdcs, min_ocdc, find_socdc, find_oppdc,
@@ -137,11 +139,49 @@ class TestFindOppdc:
             find_oppdc(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+def multiset(cdc):
+    return tuple(sorted(c.vertices for c in cdc))
+
+
+def cdc_multisets_by_brute_force(g):
+    """Independent oracle: every multiset of reference-directed cycles whose
+    lengths sum to 2m (at most 2m/3 cycles) that covers each edge twice."""
+    rows = enumerate_undirected_cycles(g)
+    found = set()
+
+    def extend(start, combo, length_left):
+        if length_left == 0:
+            if verify_cdc(g, combo).ok:
+                found.add(multiset(combo))
+            return
+        if len(combo) == 2 * g.m // 3:
+            return
+        for i in range(start, len(rows)):
+            if len(rows[i]) <= length_left:
+                extend(i, combo + [rows[i]], length_left - len(rows[i]))
+
+    extend(0, [], 2 * g.m)
+    return found
+
+
 class TestCdcSearch:
     def test_enumerate_cdcs_cycle(self):
         cdcs = list(enumerate_cdcs(cycle(6)))
         assert len(cdcs) == 1  # only the doubled cycle
         assert verify_cdc(cycle(6), cdcs[0]).ok
+
+    @pytest.mark.parametrize("g,count", [(petersen(), 52), (k4_chain(2), 4)])
+    def test_each_cdc_once(self, g, count):
+        cdcs = list(enumerate_cdcs(g))
+        assert len(cdcs) == count
+        assert len({multiset(cdc) for cdc in cdcs}) == count
+        assert all(verify_cdc(g, cdc).ok for cdc in cdcs)
+
+    @pytest.mark.parametrize("g", [complete(4), k4_chain(2), prism(3), wheel(4)])
+    def test_cdc_multisets_match_brute_force(self, g):
+        cdcs = [multiset(cdc) for cdc in enumerate_cdcs(g)]
+        assert len(set(cdcs)) == len(cdcs)
+        assert set(cdcs) == cdc_multisets_by_brute_force(g)
 
     def test_unorientable_petersen(self):
         hit = find_unorientable_cdc(petersen())
@@ -194,10 +234,49 @@ class TestEngine:
         need = {0: 2, 1: 2}
         rows = [(0, 1), (0, 1)]
         eng = CoverEngine(need, rows, [1, 1], set())
-        sols = {tuple(s) for s in eng.solutions(max_rows=4)}
-        assert sols == {(0, 0), (0, 1), (1, 1)}  # row repetition allowed
+        sols = sorted(tuple(s) for s in eng.solutions(max_rows=4))
+        assert sols == [(0, 0), (0, 1), (1, 1)]  # repetition allowed, each once
 
     def test_budget_copy(self):
         b = Budget(5, 1.0)
         c = b.copy()
         assert c == b and c is not b
+
+
+class TestNodeParity:
+    """Nodes expanded by searches whose order the engine must preserve."""
+
+    @pytest.mark.parametrize("search_fn,status,nodes", [
+        (lambda: find_socdc(complete(6)), "NoneExists", 2368),
+        (lambda: min_ocdc(complete(4), 4), "Found", 10),
+        (lambda: min_ocdc(k4_chain(2), 8), "Found", 40),
+        (lambda: find_oppdc(complete(7)), "Found", 1470),
+        (lambda: find_socdc(petersen()), "Found", 275),
+    ], ids=["socdc-K6", "min-K4", "min-k4_chain2", "oppdc-K7", "socdc-petersen"])
+    def test_nodes_expanded(self, search_fn, status, nodes):
+        out = search_fn()
+        assert (out.status, out.nodes_expanded) == (status, nodes)
+
+
+class TestCertification:
+    """A result that fails its verifier raises, also under python -O."""
+
+    @staticmethod
+    def failing(*args):
+        return VerifyReport(False, [("arc", 0, 1)])
+
+    def test_min_ocdc_checks_its_cover(self, monkeypatch):
+        monkeypatch.setattr(search, "verify_ocdc", self.failing)
+        with pytest.raises(InternalConsistencyError):
+            min_ocdc(complete(4), 4)
+
+    def test_find_oppdc_checks_its_cover(self, monkeypatch):
+        monkeypatch.setattr(search, "verify_oppdc", self.failing)
+        with pytest.raises(InternalConsistencyError):
+            find_oppdc(cycle(4))
+
+    def test_find_socdc_checks_the_size(self, monkeypatch):
+        big = min_ocdc(complete(4), 4)  # an OCDC with n cycles
+        monkeypatch.setattr(search, "min_ocdc", lambda *args: big)
+        with pytest.raises(InternalConsistencyError):
+            find_socdc(complete(4))
