@@ -25,8 +25,8 @@ from .surgery import (MergeSpec, SpecError, CertificateInconsistency,
                       merge_2cut_special, merge_3edgecut, merge_at_cutvertex,
                       prism_p2, product_cycle_large, product_lift, strip_apex,
                       subdivide)
-from .search import (counterexample_filter, find_oppdc, find_socdc,
-                     find_unorientable_cdc, min_ocdc)
+from .search import (BudgetExceeded, counterexample_filter, find_oppdc,
+                     find_socdc, find_unorientable_cdc, min_ocdc)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -170,7 +170,9 @@ def cmd_compose(args) -> int:
         if fname == "cycle" and base.kind == "SOCDC" \
                 and int(frest) >= 2 * base.host.n + 1:
             cert, small = product_cycle_large(base, int(frest))
-            assert small
+            if not small:
+                raise InternalConsistencyError(
+                    f"product with cycle:{frest} gave a cover that is not small")
         else:
             cert = product_lift(base, args.factor, args.node_budget)
     else:
@@ -187,7 +189,11 @@ def cmd_search(args) -> int:
         _emit(json.dumps({"violated": failed, "candidate": not failed}), args.out)
         return EXIT_OK
     if what == "unorientable-cdc":
-        hit = find_unorientable_cdc(g, args.node_budget)
+        try:
+            hit = find_unorientable_cdc(g, args.node_budget)
+        except BudgetExceeded:
+            _emit(json.dumps({"status": "Unresolved"}), args.out)
+            return EXIT_ERROR
         if hit is None:
             _emit(json.dumps({"status": "NotFound"}), args.out)
             return EXIT_NEGATIVE

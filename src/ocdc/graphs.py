@@ -80,9 +80,6 @@ class Graph:
     def is_cubic(self) -> bool:
         return self.n > 0 and all(self.degree(v) == 3 for v in range(self.n))
 
-    def is_even(self) -> bool:
-        return all(self.degree(v) % 2 == 0 for v in range(self.n))
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
@@ -357,40 +354,67 @@ def _split_top(s: str) -> list[str]:
 # Structure: bridges, connectivity, cuts, blocks, girth
 # ---------------------------------------------------------------------------
 
-def bridges(g: Graph) -> list[tuple[int, int]]:
-    """All cut edges, by lowlink DFS (recursion depth <= n, desk scale)."""
-    import sys
+def _lowlink(g: Graph, removed: frozenset[int] = frozenset()
+             ) -> tuple[list[list[tuple[int, int]]], set[int]]:
+    """Blocks (as edge lists) and articulation points of g minus `removed`.
+
+    One iterative lowlink DFS from every unvisited vertex in increasing
+    order, neighbors in increasing order.  A bridge is a one-edge block.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
-    out: list[tuple[int, int]] = []
+    comps: list[list[tuple[int, int]]] = []
+    cut_vertices: set[int] = set()
+    edge_stack: list[tuple[int, int]] = []
     timer = 0
-
-    def dfs(u: int, parent: int):
-        nonlocal timer
-        disc[u] = low[u] = timer
+    for root in range(g.n):
+        if disc[root] != -1 or root in removed:
+            continue
+        disc[root] = low[root] = timer
         timer += 1
-        skipped_parent = False
-        for w in g.neighbors(u):
-            if w == parent and not skipped_parent:
-                skipped_parent = True  # a second u-parent edge would be a multi-edge
-                continue
-            if disc[w] == -1:
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] > disc[u]:
-                    out.append(_norm_edge(u, w))
+        root_children = 0
+        stack = [(root, -1, iter(g._adj[root]))]
+        while stack:
+            u, parent, it = stack[-1]
+            for w in it:
+                if w in removed:
+                    continue
+                if disc[w] == -1:
+                    edge_stack.append((u, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, u, iter(g._adj[w])))
+                    break
+                if w != parent and disc[w] < disc[u]:
+                    edge_stack.append((u, w))
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
             else:
-                low[u] = min(low[u], disc[w])
+                stack.pop()
+                if parent == -1:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:
+                    # parent separates u's subtree: its edges form one block
+                    comp = []
+                    while edge_stack[-1] != (parent, u):
+                        comp.append(edge_stack.pop())
+                    comp.append(edge_stack.pop())
+                    comps.append(comp)
+                    if parent == root:
+                        root_children += 1
+                    else:
+                        cut_vertices.add(parent)
+        if root_children > 1:
+            cut_vertices.add(root)
+    return comps, cut_vertices
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, g.n + 100))
-    try:
-        for root in range(g.n):
-            if disc[root] == -1:
-                dfs(root, -1)
-    finally:
-        sys.setrecursionlimit(old)
-    return sorted(out)
+
+def bridges(g: Graph) -> list[tuple[int, int]]:
+    """All cut edges, sorted."""
+    comps, _ = _lowlink(g)
+    return sorted(_norm_edge(*comp[0]) for comp in comps if len(comp) == 1)
 
 
 def is_bridgeless(g: Graph) -> bool:
@@ -398,9 +422,13 @@ def is_bridgeless(g: Graph) -> bool:
 
 
 def vertex_connectivity_at_most(g: Graph, k: int) -> Optional[tuple[int, ...]]:
-    """A vertex cut of size <= k (k <= 3) if one exists, else None.
+    """The lex-first smallest vertex cut of size <= k (k <= 3), else None.
 
-    Brute force over vertex subsets; intended for desk-scale graphs.
+    A set P + (v,) is a cut exactly when v is an articulation point of
+    G - P, and G - P is connected when no smaller cut exists; so each size
+    walks the prefixes P in lex order with one lowlink pass each.  The
+    first P with an articulation point gives the lex-first cut: one below
+    max(P) would have completed an earlier prefix.
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
@@ -409,12 +437,10 @@ def vertex_connectivity_at_most(g: Graph, k: int) -> Optional[tuple[int, ...]]:
     for size in range(1, k + 1):
         if g.n - size < 2:
             break
-        for cut in itertools.combinations(range(g.n), size):
-            removed = frozenset(cut)
-            rest = [v for v in range(g.n) if v not in removed]
-            seen = g._component(rest[0], removed_vertices=removed)
-            if len(seen) < len(rest):
-                return cut
+        for prefix in itertools.combinations(range(g.n), size - 1):
+            _, cut_vertices = _lowlink(g, frozenset(prefix))
+            if cut_vertices:
+                return prefix + (min(cut_vertices),)
     return None
 
 
@@ -428,28 +454,75 @@ class EdgeCut:
         return all(len(s) > 1 for s in self.sides)
 
 
-def nontrivial_3_edge_cuts(g: Graph) -> list[EdgeCut]:
-    """All edge cuts of size exactly 3 with both sides of >= 2 vertices.
+def _cycle_space_labels(g: Graph) -> dict[tuple[int, int], int]:
+    """Exact cycle-space labels of the edges of a connected graph.
 
-    Brute force over edge triples; a triple counts only if every removed
-    edge crosses between the two resulting components.
+    Non-tree edge i of a BFS tree from vertex 0 (in sorted edge order) gets
+    label 1 << i; a tree edge gets the XOR of the labels of the non-tree
+    edges whose fundamental cycle uses it.  An edge set is a union of cuts
+    exactly when its labels XOR to 0, so a bridge has label 0 and {e, f} is
+    a cut exactly when l_e == l_f (Pritchard & Thurimella, TALG 7(4), 2011,
+    with a full basis instead of random samples).
+    """
+    if g.n == 0:
+        return {}
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for u in order:
+        for w in g._adj[u]:
+            if parent[w] == -1:
+                parent[w] = u
+                order.append(w)
+    labels = {}
+    subtree = [0] * g.n  # XOR of non-tree labels at the vertex, then its subtree
+    bit = 0
+    for u, v in g.sorted_edges():
+        if parent[v] == u or parent[u] == v:
+            continue
+        labels[(u, v)] = 1 << bit
+        subtree[u] ^= 1 << bit
+        subtree[v] ^= 1 << bit
+        bit += 1
+    for v in reversed(order[1:]):
+        labels[_norm_edge(parent[v], v)] = subtree[v]
+        subtree[parent[v]] ^= subtree[v]
+    return labels
+
+
+def nontrivial_3_edge_cuts(g: Graph) -> list[EdgeCut]:
+    """All edge cuts of size exactly 3 with both sides of >= 2 vertices,
+    in lex order of their sorted edge triples.
+
+    Candidate triples are those whose cycle-space labels XOR to 0; each is
+    confirmed by search: it counts only if removing it leaves exactly two
+    components and every removed edge crosses between them.
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
+    edges = g.sorted_edges()
+    labels = _cycle_space_labels(g)
+    lab = [labels[e] for e in edges]
+    by_label: dict[int, list[int]] = {}
+    for idx, x in enumerate(lab):
+        by_label.setdefault(x, []).append(idx)
     out = []
-    for triple in itertools.combinations(g.sorted_edges(), 3):
-        removed = frozenset(triple)
-        side = g._component(0, removed_edges=removed)
-        if len(side) == g.n:
-            continue
-        other = set(range(g.n)) - side
-        # the far side must be one component and every edge must cross
-        if g._component(next(iter(other)), removed_edges=removed) != other:
-            continue
-        if any((u in side) == (v in side) for u, v in triple):
-            continue
-        if len(side) >= 2 and len(other) >= 2:
-            out.append(EdgeCut(removed, (frozenset(side), frozenset(other))))
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        for k in by_label.get(lab[i] ^ lab[j], ()):
+            if k <= j:
+                continue
+            removed = frozenset((edges[i], edges[j], edges[k]))
+            side = g._component(0, removed_edges=removed)
+            if len(side) == g.n:
+                continue
+            other = set(range(g.n)) - side
+            # the far side must be one component and every edge must cross
+            if g._component(next(iter(other)), removed_edges=removed) != other:
+                continue
+            if any((u in side) == (v in side) for u, v in removed):
+                continue
+            if len(side) >= 2 and len(other) >= 2:
+                out.append(EdgeCut(removed, (frozenset(side), frozenset(other))))
     return out
 
 
@@ -463,53 +536,16 @@ def blocks(g: Graph) -> BlockDecomposition:
     """Maximal 2-connected subgraphs (bridges are K2 blocks) and cut vertices."""
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    import sys
-    disc = [-1] * g.n
-    low = [0] * g.n
-    comp_edges: list[list[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-
-    def dfs(u: int, parent: int):
-        nonlocal timer
-        disc[u] = low[u] = timer
-        timer += 1
-        children = 0
-        for w in g.neighbors(u):
-            if disc[w] == -1:
-                edge_stack.append((u, w))
-                children += 1
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    comp = []
-                    while edge_stack[-1] != (u, w):
-                        comp.append(edge_stack.pop())
-                    comp.append(edge_stack.pop())
-                    comp_edges.append(comp)
-            elif w != parent and disc[w] < disc[u]:
-                edge_stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, g.n + 100))
-    try:
-        dfs(0, -1)
-    finally:
-        sys.setrecursionlimit(old)
+    comps, cut_vertices = _lowlink(g)
     blist = []
-    membership: dict[int, int] = {}
-    for comp in comp_edges:
+    for comp in comps:
         vs = sorted({v for e in comp for v in e})
         fwd = {v: i for i, v in enumerate(vs)}
         sub = Graph.from_edges(len(vs), ((fwd[u], fwd[v]) for u, v in comp))
         blist.append((sub, dict(enumerate(vs))))
-        for v in vs:
-            membership[v] = membership.get(v, 0) + 1
     if g.n == 1:
         blist.append((Graph.from_edges(1, []), {0: 0}))
-    cuts = {v for v, cnt in membership.items() if cnt > 1}
-    return BlockDecomposition(tuple(blist), frozenset(cuts))
+    return BlockDecomposition(tuple(blist), frozenset(cut_vertices))
 
 
 def girth_and_average_degree(g: Graph) -> tuple[float | int, Fraction]:

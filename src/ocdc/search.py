@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import (Graph, bridges, is_bridgeless, nontrivial_3_edge_cuts,
-                     vertex_connectivity_at_most)
+from .graphs import (Graph, _cycle_space_labels, is_bridgeless,
+                     nontrivial_3_edge_cuts, vertex_connectivity_at_most)
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
                      InternalConsistencyError, VerifyReport, orient_cdc,
                      verify_ocdc, verify_oppdc)
@@ -370,13 +370,12 @@ def find_unorientable_cdc(g: Graph, node_budget: Optional[int] = None
 # ---------------------------------------------------------------------------
 
 def _edge_connectivity_at_least_3(g: Graph) -> bool:
-    if bridges(g):
+    """No bridge and no 2-edge cut: no cycle-space label is 0 and no two
+    labels are equal."""
+    if not g.is_connected():
         return False
-    for pair in itertools.combinations(g.sorted_edges(), 2):
-        removed = frozenset(pair)
-        if len(g._component(0, removed_edges=removed)) < g.n:
-            return False
-    return True
+    labels = _cycle_space_labels(g).values()
+    return 0 not in labels and len(set(labels)) == len(labels)
 
 
 def counterexample_filter(g: Graph) -> list[str]:

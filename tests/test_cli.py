@@ -132,6 +132,13 @@ class TestSearch:
                            "--family", "cycle:6")
         assert code == 2
 
+    def test_unorientable_budget_unresolved(self, capsys):
+        code, out, err = run(capsys, "search", "unorientable-cdc",
+                             "--family", "petersen", "--node-budget", "5")
+        assert code == 1
+        assert json.loads(out) == {"status": "Unresolved"}
+        assert "Traceback" not in err
+
     def test_unknown_option_exits_1(self, capsys):
         # bad usage is an operational failure, not a mathematical negative
         with pytest.raises(SystemExit) as exc:
@@ -179,6 +186,19 @@ class TestCompose:
                             "--factor", "cycle:7")
         assert code == 0
         assert CoverCertificate.from_json(out2).host.n == 21
+
+    def test_product_not_small_exits_1(self, capsys, tmp_path, monkeypatch):
+        # the small-cover check after a large cycle product holds under -O too
+        from ocdc import cli, surgery
+        monkeypatch.setattr(cli, "product_cycle_large",
+                            lambda c, n: (surgery.product_cycle_large(c, n)[0], False))
+        _, out, _ = run(capsys, "search", "socdc", "--family", "cycle:3")
+        p = tmp_path / "c3.json"
+        p.write_text(json.dumps(json.loads(out)["certificate"]))
+        code, out2, err = run(capsys, "compose", "product", "--cert", str(p),
+                              "--factor", "cycle:7")
+        assert code == 1 and out2 == ""
+        assert "not small" in err
 
     def test_missing_cert_file(self, capsys):
         assert run(capsys, "compose", "join", "--cert", "/nonexistent.json")[0] == 1

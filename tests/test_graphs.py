@@ -1,5 +1,8 @@
 """Graph representation, generators, graph6 codec, structural analysis."""
 
+import itertools
+import sys
+
 import pytest
 from fractions import Fraction
 
@@ -13,7 +16,9 @@ from ocdc.graphs import (Graph, Graph6ParseError, FamilyError, RotationError,
                          mobius_kantor, wheel, prism, k4_chain, generate,
                          bridges, is_bridgeless, vertex_connectivity_at_most,
                          nontrivial_3_edge_cuts, blocks,
-                         girth_and_average_degree, faces, planar_rotation)
+                         girth_and_average_degree, faces, planar_rotation,
+                         EdgeCut)
+from ocdc.search import _edge_connectivity_at_least_3
 
 
 class TestGraph:
@@ -177,6 +182,26 @@ class TestStructure:
         assert nontrivial_3_edge_cuts(petersen()) == []
         assert nontrivial_3_edge_cuts(complete(4)) == []
 
+    def test_bridges_long_cycle_iterative(self):
+        limit = sys.getrecursionlimit()
+        assert bridges(cycle(20000)) == []
+        assert sys.getrecursionlimit() == limit
+
+    def test_blocks_long_path_iterative(self):
+        limit = sys.getrecursionlimit()
+        assert len(blocks(path(20000)).blocks) == 19999
+        assert sys.getrecursionlimit() == limit
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_cuts_match_brute_force(self, data):
+        g = data.draw(_connected_graphs(max_n=9))
+        gnx = _to_nx(g)
+        assert nontrivial_3_edge_cuts(g) == _ref_3_edge_cuts(gnx)
+        for k in (1, 2, 3):
+            assert vertex_connectivity_at_most(g, k) == _ref_vertex_cut(gnx, k)
+        assert _edge_connectivity_at_least_3(g) == (nx.edge_connectivity(gnx) >= 3)
+
     def test_girth(self):
         girth, avg = girth_and_average_degree(petersen())
         assert girth == 5 and avg == 3
@@ -211,3 +236,46 @@ def _to_nx(g: Graph) -> "nx.Graph":
     gnx.add_nodes_from(range(g.n))
     gnx.add_edges_from(g.edges)
     return gnx
+
+
+@st.composite
+def _connected_graphs(draw, max_n):
+    """A random spanning tree, relabelled, plus a random set of extra edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    tree = {tuple(sorted((perm[v], perm[draw(st.integers(0, v - 1))])))
+            for v in range(1, n)}
+    rest = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return Graph.from_edges(n, tree | extra)
+
+
+def _ref_3_edge_cuts(gnx):
+    """Every edge triple, in lex order, whose removal leaves two components
+    of >= 2 vertices with all three edges between them."""
+    out = []
+    h = gnx.copy()
+    for triple in itertools.combinations(sorted(tuple(sorted(e)) for e in gnx.edges), 3):
+        h.remove_edges_from(triple)
+        comps = list(nx.connected_components(h))
+        h.add_edges_from(triple)
+        if len(comps) != 2 or min(len(c) for c in comps) < 2:
+            continue
+        side = next(c for c in comps if 0 in c)
+        if all((u in side) != (v in side) for u, v in triple):
+            other = set(gnx) - side
+            out.append(EdgeCut(frozenset(triple), (frozenset(side), frozenset(other))))
+    return out
+
+
+def _ref_vertex_cut(gnx, k):
+    """Lex-first vertex subset of the smallest size <= k whose removal
+    disconnects the rest."""
+    n = gnx.number_of_nodes()
+    for size in range(1, k + 1):
+        if n - size < 2:
+            break
+        for cut in itertools.combinations(range(n), size):
+            if not nx.is_connected(gnx.subgraph(set(range(n)) - set(cut))):
+                return cut
+    return None
