@@ -1,6 +1,6 @@
 """Closed-form cover constructors for the explicitly resolved graph families.
 
-Every constructor verifies its output before returning; no unverified
+Every constructor returns through covers.certify, so no unverified
 certificate ever leaves this module.
 """
 
@@ -14,8 +14,8 @@ from typing import Optional, Union
 from .graphs import (Graph, RotationSystem, complete, complete_bipartite,
                      faces as face_walks, is_bridgeless)
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
-                     InternalConsistencyError, double_cycle_decomposition,
-                     orient_cdc, verify_ocdc, verify_oppdc, verify_socdc)
+                     InternalConsistencyError, certify,
+                     double_cycle_decomposition, orient_cdc)
 from .surgery import join_apex
 
 
@@ -35,8 +35,7 @@ def ocdc_k4() -> CoverCertificate:
     """The explicit 4-cycle cover of K4 (every cover of K4 has exactly 4)."""
     g = complete(4)
     cycles = [DirectedCycle(t) for t in [(0, 1, 3), (1, 0, 2), (2, 3, 1), (3, 2, 0)]]
-    assert verify_ocdc(g, cycles).ok
-    return CoverCertificate(g, "OCDC", cycles, "explicit K4 table")
+    return certify(g, "OCDC", cycles, "explicit K4 table")
 
 
 def ocdc_k6() -> CoverCertificate:
@@ -45,8 +44,7 @@ def ocdc_k6() -> CoverCertificate:
     rows = [(1, 2, 3, 4, 5, 6), (2, 6, 3, 5, 4), (1, 5, 2, 4, 3),
             (1, 4, 6, 2, 5), (1, 6, 5, 3, 2), (1, 3, 6, 4)]
     cycles = [DirectedCycle(tuple(v - 1 for v in t)) for t in rows]
-    assert verify_ocdc(g, cycles).ok
-    return CoverCertificate(g, "OCDC", cycles, "explicit K6 table")
+    return certify(g, "OCDC", cycles, "explicit K6 table")
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +80,7 @@ def socdc_complete_odd(n: int) -> CoverCertificate:
         raise ValueError("socdc_complete_odd needs odd n >= 3")
     g = complete(n)
     doubled = double_cycle_decomposition(g, hamiltonian_decomposition_odd(n))
-    rep = verify_socdc(g, doubled)
-    assert rep.ok and len(doubled) == n - 1
-    return CoverCertificate(g, "SOCDC", doubled, f"doubled Walecki decomposition of K{n}")
+    return certify(g, "SOCDC", doubled, f"doubled Walecki decomposition of K{n}")
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +133,8 @@ def oppdc_complete_odd(n: int) -> CoverCertificate:
 
     if not build(0):
         raise InternalConsistencyError(f"no Hamiltonian path cover of K{n} found")
-    elements = [DirectedPath(p) for p in paths]
-    rep = verify_oppdc(g, elements)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g, "OPPDC", elements,
-                            f"sequential Hamiltonian path cover search on K{n}")
+    return certify(g, "OPPDC", [DirectedPath(p) for p in paths],
+                   f"sequential Hamiltonian path cover search on K{n}")
 
 
 def socdc_complete_even(n: int) -> CoverCertificate:
@@ -151,7 +144,8 @@ def socdc_complete_even(n: int) -> CoverCertificate:
     if n in (4, 6):
         raise NoSocdcExists(f"K{n} has no small cover; it is a conjecture exception")
     cert = join_apex(oppdc_complete_odd(n - 1))
-    assert cert.host.edges == complete(n).edges and len(cert.elements) == n - 1
+    if cert.host.edges != complete(n).edges or len(cert.elements) != n - 1:
+        raise InternalConsistencyError(f"apex join did not give a small cover of K{n}")
     return cert
 
 
@@ -171,9 +165,7 @@ def socdc_complete_bipartite(n: int, m: int) -> CoverCertificate:
             vs.append(j)
             vs.append(n + (i + j) % m)
         cycles.append(DirectedCycle(tuple(vs)))
-    rep = verify_socdc(g, cycles)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g, "SOCDC", cycles, f"interleaved formula cycles for K({n},{m})")
+    return certify(g, "SOCDC", cycles, f"interleaved formula cycles for K({n},{m})")
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +210,8 @@ def socdc_planar(g: Graph, rot: RotationSystem) -> PlanarCoverResult:
                     cycles.append(DirectedCycle(tuple(piece)))
                 del stack[i:]
             stack.append(v)
-    rep = verify_ocdc(g, cycles)
-    assert rep.ok, rep.violations
-    bound_violation = g.m >= 2 * g.n - 2
-    small = len(cycles) <= g.n - 1
-    kind = "SOCDC" if small else "OCDC"
-    cert = CoverCertificate(g, kind, cycles, "oriented face boundaries of a planar rotation")
-    return PlanarCoverResult(cert, bound_violation, split)
+    cert = certify(g, "OCDC", cycles, "oriented face boundaries of a planar rotation")
+    return PlanarCoverResult(cert, g.m >= 2 * g.n - 2, split)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +256,7 @@ def edge_color_cubic(g: Graph) -> Optional[EdgeColoring3]:
         return False
 
     if solve(0):
-        coloring = EdgeColoring3(dict(colors))
-        for c in (1, 2, 3):
-            match = coloring.matching(c)
-            assert len(match) * 2 == g.n, "color class is not a perfect matching"
-        return coloring
+        return EdgeColoring3(dict(colors))
     if g.n > 20:
         raise DeskScaleError("class-2 verdicts are only trusted for n <= 20")
     return None
@@ -289,8 +272,6 @@ def ocdc_cubic_class1(g: Graph) -> CoverCertificate:
     for a, b in itertools.combinations((1, 2, 3), 2):
         sub = Graph.from_edges(g.n, coloring.matching(a) + coloring.matching(b))
         cdc.extend(_two_factor_cycles(sub))
-    for c in cdc:
-        assert len(c) % 2 == 0, "2-factor cycles must alternate the matchings"
     oriented = orient_cdc(g, cdc)
     provenance = "oriented 2-factor pairs of a proper 3-edge-coloring"
     if isinstance(oriented, Infeasible):
@@ -304,10 +285,7 @@ def ocdc_cubic_class1(g: Graph) -> CoverCertificate:
                 "class-1 cubic graph has no OCDC within the n/2+2 bound")
         oriented = out.certificate.elements
         provenance = "exact search within the cubic bound; 2-factor CDC unorientable"
-    rep = verify_ocdc(g, oriented)
-    assert rep.ok, rep.violations
-    small = len(oriented) <= g.n - 1
-    return CoverCertificate(g, "SOCDC" if small else "OCDC", oriented, provenance)
+    return certify(g, "OCDC", oriented, provenance)
 
 
 def _two_factor_cycles(sub: Graph) -> list[DirectedCycle]:

@@ -71,7 +71,7 @@ def _parse_map(text: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    g = _load_graph(args) if (args.family or args.graph) else generate(args.spec)
+    g = generate(args.spec) if args.spec and not (args.family or args.graph) else _load_graph(args)
     _emit(emit_graph6(g), args.out)
     print(f"n={g.n} m={g.m}", file=sys.stderr)
     return EXIT_OK
@@ -169,10 +169,7 @@ def cmd_compose(args) -> int:
         fname, _, frest = args.factor.partition(":")
         if fname == "cycle" and base.kind == "SOCDC" \
                 and int(frest) >= 2 * base.host.n + 1:
-            cert, small = product_cycle_large(base, int(frest))
-            if not small:
-                raise InternalConsistencyError(
-                    f"product with cycle:{frest} gave a cover that is not small")
+            cert = product_cycle_large(base, int(frest))[0]
         else:
             cert = product_lift(base, args.factor, args.node_budget)
     else:

@@ -156,9 +156,9 @@ def verify_oppdc(g: Graph, paths: Sequence[DirectedPath]) -> VerifyReport:
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
     for p in paths:
-        if len(p) == 1 and g.n >= 2:
+        if len(p) == 1 and (g.n >= 2 or p.start not in range(g.n)):
             # a single-vertex path breaks the apex correspondence; only the
-            # one-vertex graph admits it
+            # one-vertex graph admits it, on its own vertex
             violations.append((("degenerate", p.start), 1, 0))
         starts[p.start] = starts.get(p.start, 0) + 1
         ends[p.end] = ends.get(p.end, 0) + 1
@@ -175,12 +175,7 @@ def verify_oppdc(g: Graph, paths: Sequence[DirectedPath]) -> VerifyReport:
             violations.append((("start", v), starts.get(v, 0), 1))
         if ends.get(v, 0) != 1:
             violations.append((("end", v), ends.get(v, 0), 1))
-    counts = _common_counts(g, paths)
-    rep = VerifyReport.from_violations(violations, counts)
-    if rep.ok:
-        # start-count argument: a valid OPPDC has exactly |V| paths
-        assert len(paths) == g.n
-    return rep
+    return VerifyReport.from_violations(violations, _common_counts(g, paths))
 
 
 def verify_cdc(g: Graph, cycles: Sequence[DirectedCycle]) -> VerifyReport:
@@ -258,8 +253,8 @@ def orient_cdc(g: Graph, cdc: Sequence[DirectedCycle]) -> Union[list[DirectedCyc
     out = []
     for i, c in enumerate(cdc):
         out.append(c.reversed() if color[i] else DirectedCycle(c.vertices))
-    rep = verify_ocdc(g, out)
-    assert rep.ok, "parity solution failed to orient; internal inconsistency"
+    if not verify_ocdc(g, out).ok:
+        raise InternalConsistencyError("parity solution failed to orient the CDC")
     return out
 
 
@@ -280,7 +275,8 @@ def _odd_witness(parent: dict, i: int, j: int, b: int) -> Infeasible:
     nodes = [x for x, _ in ci[:idx_i + 1]] + [x for x, _ in reversed(cj[:idx_j])]
     parities = [pb for _, pb in ci[1:idx_i + 1]] + [pb for _, pb in reversed(cj[1:idx_j + 1])] + [b]
     wit = Infeasible(nodes, parities)
-    assert wit.check()
+    if not wit.check():
+        raise InternalConsistencyError(f"odd-chain witness has even parity: {wit}")
     return wit
 
 
@@ -299,7 +295,6 @@ def double_cycle_decomposition(g: Graph, decomp: Sequence[DirectedCycle]) -> lis
     for c in decomp:
         out.append(c)
         out.append(c.reversed())
-    assert verify_ocdc(g, out).ok
     return out
 
 
@@ -307,8 +302,8 @@ def small_by_girth(g: Graph, ocdc: Sequence[DirectedCycle]) -> bool:
     """True iff girth > average degree; then any OCDC is automatically small."""
     girth, avg = girth_and_average_degree(g)
     small = girth > avg
-    if small:
-        assert len(ocdc) <= g.n - 1, "girth bound contradicted; cover is not an OCDC"
+    if small and len(ocdc) > g.n - 1:
+        raise MalformedCoverError("girth bound contradicted; cover is not an OCDC")
     return small
 
 
@@ -323,7 +318,7 @@ def cubic_bound_check(g: Graph, cdc: Sequence[DirectedCycle]) -> bool:
 # Certificates
 # ---------------------------------------------------------------------------
 
-KINDS = ("CDC", "OCDC", "SOCDC", "PPDC", "OPPDC")
+KINDS = ("CDC", "OCDC", "SOCDC", "OPPDC")
 
 
 @dataclass
@@ -338,17 +333,14 @@ class CoverCertificate:
             raise MalformedCoverError(f"unknown certificate kind {self.kind!r}")
 
     def verify(self) -> VerifyReport:
+        # verifiers are looked up at call time, so rebinding one takes effect
         if self.kind == "OCDC":
             return verify_ocdc(self.host, self.elements)
         if self.kind == "SOCDC":
             return verify_socdc(self.host, self.elements)
         if self.kind == "OPPDC":
             return verify_oppdc(self.host, self.elements)
-        if self.kind == "CDC":
-            return verify_cdc(self.host, self.elements)
-        # PPDC: undirected path double cover with the vertex-end condition
-        rep = verify_oppdc(self.host, self.elements)
-        return rep
+        return verify_cdc(self.host, self.elements)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -360,15 +352,42 @@ class CoverCertificate:
 
     @staticmethod
     def from_json(text: str) -> "CoverCertificate":
+        """Parse certificate JSON.  Anything but an object with a graph6
+        string, a known kind and lists of int vertices raises
+        MalformedCoverError (a bad graph6 string, Graph6ParseError)."""
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedCoverError(f"invalid certificate JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise MalformedCoverError("certificate JSON must be an object")
         for key in ("graph", "kind", "elements"):
             if key not in obj:
                 raise MalformedCoverError(f"certificate JSON missing {key!r}")
-        g = parse_graph6(obj["graph"])
-        kind = obj["kind"]
-        cls = DirectedPath if kind in ("OPPDC", "PPDC") else DirectedCycle
-        elements = [cls(tuple(vs)) for vs in obj["elements"]]
-        return CoverCertificate(g, kind, elements, obj.get("provenance", ""))
+        graph, kind, elements = obj["graph"], obj["kind"], obj["elements"]
+        if not isinstance(graph, str):
+            raise MalformedCoverError("certificate graph must be a graph6 string")
+        if not isinstance(elements, list) or not all(
+                isinstance(e, list) and all(type(v) is int for v in e) for e in elements):
+            raise MalformedCoverError("certificate elements must be lists of integer vertices")
+        cls = DirectedPath if kind == "OPPDC" else DirectedCycle
+        return CoverCertificate(parse_graph6(graph), kind, [cls(tuple(vs)) for vs in elements],
+                                obj.get("provenance", ""))
+
+
+def certify(g: Graph, kind: str, elements: list[Element], provenance: str) -> CoverCertificate:
+    """The one way a certificate leaves the library: build it, run its
+    kind's verifier, and raise InternalConsistencyError if that fails (an
+    explicit raise, so it also holds under python -O).
+
+    A cycle cover asked for as "OCDC" is labelled SOCDC exactly when it has
+    at most n-1 cycles; one asked for as "SOCDC" must also meet that bound.
+    """
+    if kind == "OCDC" and len(elements) <= g.n - 1:
+        kind = "SOCDC"
+    cert = CoverCertificate(g, kind, elements, provenance)
+    rep = cert.verify()
+    if not rep.ok:
+        raise InternalConsistencyError(
+            f"{kind} certificate ({provenance}) fails verification: {rep.violations[:5]}")
+    return cert

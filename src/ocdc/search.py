@@ -18,8 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .graphs import (Graph, _cycle_space_labels, is_bridgeless,
                      nontrivial_3_edge_cuts, vertex_connectivity_at_most)
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
-                     InternalConsistencyError, VerifyReport, orient_cdc,
-                     verify_ocdc, verify_oppdc)
+                     InternalConsistencyError, certify, orient_cdc)
 
 
 class BudgetExceeded(Exception):
@@ -30,9 +29,6 @@ class BudgetExceeded(Exception):
 class Budget:
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None  # seconds of wall clock
-
-    def copy(self) -> "Budget":
-        return Budget(self.node_limit, self.time_limit)
 
     def deadline(self) -> Optional[float]:
         return None if self.time_limit is None else time.monotonic() + self.time_limit
@@ -249,14 +245,6 @@ def enumerate_directed_paths(g: Graph) -> list[DirectedPath]:
 # Searches
 # ---------------------------------------------------------------------------
 
-def _certified(rep: VerifyReport, what: str) -> None:
-    """Refuse to hand out a search result that fails its own verifier.  An
-    explicit check, not an assert, so it also runs under python -O."""
-    if not rep.ok:
-        raise InternalConsistencyError(
-            f"{what} produced a cover that fails verification: {rep.violations[:5]}")
-
-
 def min_ocdc(g: Graph, max_count: int, node_budget: Optional[int] = None,
              time_budget: Optional[float] = None,
              prove_minimum: bool = True) -> SearchOutcome:
@@ -286,10 +274,7 @@ def min_ocdc(g: Graph, max_count: int, node_budget: Optional[int] = None,
             return SearchOutcome("Unresolved", None, lower, nodes_total + engine.nodes)
         nodes_total += engine.nodes
         if sol is not None:
-            cycles = [DirectedCycle(rows[i]) for i in sol]
-            _certified(verify_ocdc(g, cycles), "min_ocdc")
-            cert = CoverCertificate(g, "SOCDC" if len(cycles) <= g.n - 1 else "OCDC",
-                                    cycles, f"min_ocdc k={k}")
+            cert = certify(g, "OCDC", [DirectedCycle(rows[i]) for i in sol], f"min_ocdc k={k}")
             return SearchOutcome("Found", cert, k, nodes_total)
         lower = k + 1
     return SearchOutcome("NoneExists", None, lower, nodes_total)
@@ -329,10 +314,8 @@ def find_oppdc(g: Graph, node_budget: Optional[int] = None,
         return SearchOutcome("Unresolved", None, 0, engine.nodes)
     if sol is None:
         return SearchOutcome("NoneExists", None, g.n + 1, engine.nodes)
-    paths = [DirectedPath(rows[i]) for i in sol]
-    _certified(verify_oppdc(g, paths), "find_oppdc")
-    cert = CoverCertificate(g, "OPPDC", paths, "find_oppdc")
-    return SearchOutcome("Found", cert, len(paths), engine.nodes)
+    cert = certify(g, "OPPDC", [DirectedPath(rows[i]) for i in sol], "find_oppdc")
+    return SearchOutcome("Found", cert, len(sol), engine.nodes)
 
 
 def enumerate_cdcs(g: Graph, node_budget: Optional[int] = None,

@@ -3,7 +3,7 @@
 Counts follow the splice arithmetic exactly: cut-vertex merge keeps
 |c1|+|c2| cycles, a 2-cut merge drops 1 (shared edge) or 2 (no edge),
 a 3-edge-cut merge drops 3, 2 or 1 depending on the endpoint pattern.
-Every operation verifies its output before returning.
+Every operation returns its output through covers.certify.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import Graph, cartesian, cycle as cycle_graph, path as path_graph
-from .covers import (CoverCertificate, DirectedCycle, DirectedPath,
-                     verify_ocdc, verify_oppdc, verify_socdc)
+from .covers import (CoverCertificate, DirectedCycle, DirectedPath, certify,
+                     verify_ocdc, verify_socdc)
 
 
 class SpecError(ValueError):
@@ -70,7 +70,6 @@ def _rotate_to_end(c: DirectedCycle, arc: tuple[int, int]) -> list[int]:
     """Vertex list of c rotated so the cycle reads head(arc) ... tail(arc)."""
     vs = c.vertices
     i = vs.index(arc[0])
-    assert vs[(i + 1) % len(vs)] == arc[1]
     rot = vs[(i + 1) % len(vs):] + vs[:(i + 1) % len(vs)]
     return list(rot)
 
@@ -101,10 +100,8 @@ def merge_at_cutvertex(c1: CoverCertificate, c2: CoverCertificate,
     edges = _relabel_graph(c1.host, spec.map1, n) + _relabel_graph(c2.host, spec.map2, n)
     g = Graph.from_edges(n, edges)
     cycles = _relabel_cycles(c1.elements, spec.map1) + _relabel_cycles(c2.elements, spec.map2)
-    rep = verify_socdc(g, cycles)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g, "SOCDC", cycles,
-                            f"cutvertex merge of [{c1.provenance}] and [{c2.provenance}]")
+    return certify(g, "SOCDC", cycles,
+                   f"cutvertex merge of [{c1.provenance}] and [{c2.provenance}]")
 
 
 def subdivide(c: CoverCertificate, edge: tuple[int, int]) -> CoverCertificate:
@@ -129,9 +126,7 @@ def subdivide(c: CoverCertificate, edge: tuple[int, int]) -> CoverCertificate:
             i = vs.index(v)
             vs.insert(i + 1, x)
         cycles.append(DirectedCycle(tuple(vs)))
-    rep = verify_socdc(g2, cycles)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g2, "SOCDC", cycles, f"subdivide {edge} of [{c.provenance}]")
+    return certify(g2, "SOCDC", cycles, f"subdivide {edge} of [{c.provenance}]")
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +175,8 @@ def merge_2cut(c1: CoverCertificate, c2: CoverCertificate, spec: MergeSpec,
         spliced.append(_splice(cyc2[i21], cyc1[i12], v1, v2))
         removed |= {id(cyc2[i21]), id(cyc1[i12])}
     cycles = [c for c in cyc1 + cyc2 if id(c) not in removed] + spliced
-    expected = len(cyc1) + len(cyc2) - (1 if keep_edge else 2)
-    assert len(cycles) == expected
-    rep = verify_ocdc(g, cycles)
-    assert rep.ok, rep.violations
-    kind = "SOCDC" if len(cycles) <= g.n - 1 else "OCDC"
-    return CoverCertificate(g, kind, cycles,
-                            f"2-cut merge ({mode}) of [{c1.provenance}] and [{c2.provenance}]")
+    return certify(g, "OCDC", cycles,
+                   f"2-cut merge ({mode}) of [{c1.provenance}] and [{c2.provenance}]")
 
 
 # explicit tables for the K4/K6 special gluings, transcribed 1-based -> 0-based
@@ -230,7 +220,6 @@ _EDGE_PRESENT = {
 
 def _substitute_arc(c: DirectedCycle, arc: tuple[int, int], via: list[int]) -> DirectedCycle:
     """Replace arc (a,b) of c by the path via (which runs a..b)."""
-    assert via[0] == arc[0] and via[-1] == arc[1]
     vs = _rotate_to_end(c, arc)  # b ... a
     return DirectedCycle(tuple(vs + via[1:-1]))
 
@@ -260,9 +249,7 @@ def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None,
         if spec is not None:
             cycles = _relabel_cycles(cycles, spec.map1)
             g = Graph.from_edges(g.n, _relabel_graph(g, spec.map1, _merged_size(spec)))
-        rep = verify_socdc(g, cycles)
-        assert rep.ok, rep.violations
-        return CoverCertificate(g, "SOCDC", cycles, f"2-cut table {pieces[0]}+{pieces[1]}")
+        return certify(g, "SOCDC", cycles, f"2-cut table {pieces[0]}+{pieces[1]}")
 
     entry = _EDGE_PRESENT.get(pieces)
     if entry is None:
@@ -292,10 +279,8 @@ def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None,
     edges += [(min(ren[a], ren[b]), max(ren[a], ren[b]))
               for a, b in itertools.combinations(range(k), 2) if (a, b) != (0, 1)]
     g = Graph.from_edges(base + k - 2, edges)
-    rep = verify_socdc(g, cycles)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g, "SOCDC", cycles,
-                            f"2-cut edge-present {pieces} gluing onto [{c2.provenance}]")
+    return certify(g, "SOCDC", cycles,
+                   f"2-cut edge-present {pieces} gluing onto [{c2.provenance}]")
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +380,9 @@ def merge_3edgecut(c1: CoverCertificate, c2: CoverCertificate,
                 eset.add((min(m2[u], m2[v]), max(m2[u], m2[v])))
             for u, v in cut_edges:
                 eset.add((min(u, v), max(u, v)))
-            g = Graph.from_edges(n, eset)
-            rep = verify_ocdc(g, cycles)
-            assert rep.ok, rep.violations
-            drop = len(drop1) + len(drop2) - len(new_cycles)
-            assert drop == {"distinct": 3, "shared_tail": 2, "shared_both": 1}[pattern]
-            kind = "SOCDC" if len(cycles) <= g.n - 1 else "OCDC"
-            return CoverCertificate(g, kind, cycles,
-                                    f"3-edge-cut merge ({pattern}) of "
-                                    f"[{c1.provenance}] and [{c2.provenance}]")
+            return certify(Graph.from_edges(n, eset), "OCDC", cycles,
+                           f"3-edge-cut merge ({pattern}) of "
+                           f"[{c1.provenance}] and [{c2.provenance}]")
     raise CertificateInconsistency(
         "no labeling of the cut edges matches the covers' cycle structure at the contracted vertices")
 
@@ -497,23 +476,21 @@ def _try_3cut(cyc1, cyc2, edges, W1, W2, pattern, deg1, deg2):
 def join_apex(p: CoverCertificate) -> CoverCertificate:
     """Turn an OPPDC of G into a small cover of G joined with one new vertex."""
     g = p.host
-    if not verify_oppdc(g, p.elements).ok:
+    if p.kind != "OPPDC":
+        raise SpecError(f"apex join needs an OPPDC certificate, got {p.kind}")
+    if not p.verify().ok:
         raise SpecError("input does not verify as an OPPDC")
-    if g.n >= 2 and any(len(q) == 1 for q in p.elements):
-        raise SpecError("degenerate paths cannot pass through the apex in a simple graph")
     apex = g.n
     edges = list(g.edges) + [(v, apex) for v in range(g.n)]
     g2 = Graph.from_edges(g.n + 1, edges)
     cycles = [DirectedCycle((apex,) + q.vertices) for q in p.elements]
-    rep = verify_socdc(g2, cycles)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g2, "SOCDC", cycles, f"apex join of [{p.provenance}]")
+    return certify(g2, "SOCDC", cycles, f"apex join of [{p.provenance}]")
 
 
 def strip_apex(c: CoverCertificate, apex: int) -> CoverCertificate:
     """Inverse of join_apex: remove a dominating vertex, cycles become paths."""
     g = c.host
-    if g.degree(apex) != g.n - 1:
+    if apex not in range(g.n) or g.degree(apex) != g.n - 1:
         raise SpecError(f"vertex {apex} is not adjacent to all others")
     if not verify_socdc(g, c.elements).ok:
         raise SpecError("input does not verify as a small cover")
@@ -528,10 +505,8 @@ def strip_apex(c: CoverCertificate, apex: int) -> CoverCertificate:
         tail = vs[j + 1:] + vs[:j]
         paths.append(DirectedPath(tuple(relabel[v] for v in tail)))
     edges = [(relabel[u], relabel[v]) for u, v in g.edges if apex not in (u, v)]
-    g2 = Graph.from_edges(g.n - 1, edges)
-    rep = verify_oppdc(g2, paths)
-    assert rep.ok, rep.violations
-    return CoverCertificate(g2, "OPPDC", paths, f"apex strip of [{c.provenance}]")
+    return certify(Graph.from_edges(g.n - 1, edges), "OPPDC", paths,
+                   f"apex strip of [{c.provenance}]")
 
 
 def prism_p2(p: CoverCertificate) -> CoverCertificate:
@@ -540,20 +515,17 @@ def prism_p2(p: CoverCertificate) -> CoverCertificate:
     Vertex (u, layer) is numbered 2u + layer, matching cartesian(G, P2).
     """
     g = p.host
-    if not verify_oppdc(g, p.elements).ok:
+    if p.kind != "OPPDC":
+        raise SpecError(f"prism lift needs an OPPDC certificate, got {p.kind}")
+    if not p.verify().ok:
         raise SpecError("input does not verify as an OPPDC")
-    if g.n >= 2 and any(len(q) == 1 for q in p.elements):
-        raise SpecError("degenerate paths give no simple rung cycle; host too small")
     prod = cartesian(g, path_graph(2))
     cycles = []
     for q in p.elements:
         fwd = [2 * v for v in q.vertices]
         back = [2 * v + 1 for v in reversed(q.vertices)]
         cycles.append(DirectedCycle(tuple(fwd + back)))
-    rep = verify_socdc(prod, cycles)
-    assert rep.ok, rep.violations
-    assert len(cycles) == g.n
-    return CoverCertificate(prod, "SOCDC", cycles, f"prism lift of [{p.provenance}]")
+    return certify(prod, "SOCDC", cycles, f"prism lift of [{p.provenance}]")
 
 
 def product_cycle_large(c: CoverCertificate, n: int) -> tuple[CoverCertificate, bool]:
@@ -576,16 +548,10 @@ def product_cycle_large(c: CoverCertificate, n: int) -> tuple[CoverCertificate, 
         col = DirectedCycle(tuple(u * n + i for i in range(n)))
         cycles.append(col)
         cycles.append(col.reversed())
-    rep = verify_ocdc(prod, cycles)
-    assert rep.ok, rep.violations
-    assert len(cycles) == n * len(c.elements) + 2 * g.n
-    small = len(cycles) <= prod.n - 1
-    kind = "SOCDC" if small else "OCDC"
-    if n >= 2 * g.n + 1:
-        assert small
-    return (CoverCertificate(prod, kind, cycles,
-                             f"layer/column product of [{c.provenance}] with a {n}-cycle"),
-            small)
+    # for n >= 2|V(G)|+1 the count bound is a theorem, so certify enforces it
+    cert = certify(prod, "SOCDC" if n >= 2 * g.n + 1 else "OCDC", cycles,
+                   f"layer/column product of [{c.provenance}] with a {n}-cycle")
+    return cert, cert.kind == "SOCDC"
 
 
 class SearchUnresolved(RuntimeError):
@@ -629,17 +595,12 @@ def product_lift(cert: CoverCertificate, factor: str,
             even_cycle = h.n % 2 == 0
         else:
             raise SpecError(f"unsupported factor {factor!r}")
-    if even_cycle:
-        if cert.kind != "OPPDC":
-            raise SpecError("even-cycle and P2 factors need an OPPDC of G")
-        if not verify_oppdc(g, cert.elements).ok:
-            raise SpecError("hypothesis cover does not verify")
-    else:
-        if cert.kind not in ("SOCDC", "OPPDC"):
-            raise SpecError("factor needs a small cover (or OPPDC) of G")
-        okrep = (verify_oppdc if cert.kind == "OPPDC" else verify_socdc)(g, cert.elements)
-        if not okrep.ok:
-            raise SpecError("hypothesis cover does not verify")
+    if even_cycle and cert.kind != "OPPDC":
+        raise SpecError("even-cycle and P2 factors need an OPPDC of G")
+    if cert.kind not in ("SOCDC", "OPPDC"):
+        raise SpecError("factor needs a small cover (or OPPDC) of G")
+    if not cert.verify().ok:
+        raise SpecError("hypothesis cover does not verify")
     prod = cartesian(g, h)
     out = find_socdc(prod, node_budget, prove_minimum=False)
     if out.status == "Unresolved":

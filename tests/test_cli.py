@@ -1,8 +1,13 @@
 """Command-line interface: exit codes, JSON currency, pipelines."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocdc.cli import main
 from ocdc.covers import CoverCertificate
@@ -26,6 +31,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "heptagram:9")
         assert code == 1
         assert "error" in err
+
+    def test_no_spec_exits_1(self, capsys):
+        for argv in (["gen"], ["gen", "--graph", ""]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "required" in err and "Traceback" not in err
 
 
 class TestBuild:
@@ -89,6 +100,13 @@ class TestVerify:
         p.write_text("{")
         assert run(capsys, "verify", str(p))[0] == 1
 
+    def test_malformed_shape_exits_1(self, capsys, tmp_path):
+        p = tmp_path / "shape.json"
+        p.write_text('{"graph": "Bw", "kind": "OCDC", "elements": 5}')
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 1 and out == ""
+        assert "elements" in err and "Traceback" not in err
+
 
 class TestSearch:
     def test_k6_none_exists(self, capsys):
@@ -147,9 +165,9 @@ class TestSearch:
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_unverified_result_exits_1(self, capsys, monkeypatch):
-        from ocdc import search
+        from ocdc import covers
         from ocdc.covers import VerifyReport
-        monkeypatch.setattr(search, "verify_ocdc",
+        monkeypatch.setattr(covers, "verify_ocdc",
                             lambda g, cycles: VerifyReport(False, [("arc", 0, 1)]))
         code, out, err = run(capsys, "search", "socdc", "--family", "cycle:5")
         assert code == 1 and out == ""
@@ -187,18 +205,28 @@ class TestCompose:
         assert code == 0
         assert CoverCertificate.from_json(out2).host.n == 21
 
-    def test_product_not_small_exits_1(self, capsys, tmp_path, monkeypatch):
-        # the small-cover check after a large cycle product holds under -O too
-        from ocdc import cli, surgery
-        monkeypatch.setattr(cli, "product_cycle_large",
-                            lambda c, n: (surgery.product_cycle_large(c, n)[0], False))
+    def test_product_size_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        # product_cycle_large certifies the size bound a long cycle factor
+        # guarantees, also under -O
+        from ocdc import covers
         _, out, _ = run(capsys, "search", "socdc", "--family", "cycle:3")
         p = tmp_path / "c3.json"
         p.write_text(json.dumps(json.loads(out)["certificate"]))
+        monkeypatch.setattr(covers, "verify_socdc", lambda g, cycles: covers.VerifyReport(
+            False, [("size", len(cycles), g.n - 1)]))
         code, out2, err = run(capsys, "compose", "product", "--cert", str(p),
                               "--factor", "cycle:7")
         assert code == 1 and out2 == ""
-        assert "not small" in err
+        assert "'size'" in err and "Traceback" not in err
+
+    def test_join_on_cycle_certificate_exits_1(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "build", "complete:7")
+        p = tmp_path / "k7.json"
+        p.write_text(out)
+        for op in ("join", "prism"):
+            code, out2, err = run(capsys, "compose", op, "--cert", str(p))
+            assert code == 1 and out2 == ""
+            assert "needs an OPPDC" in err
 
     def test_missing_cert_file(self, capsys):
         assert run(capsys, "compose", "join", "--cert", "/nonexistent.json")[0] == 1
@@ -230,3 +258,43 @@ class TestOutFile:
         code, out, _ = run(capsys, "gen", "petersen", "--out", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().strip() == emit_graph6(__import__("ocdc").graphs.petersen())
+
+
+GRAPH6_TEXT = st.text(alphabet=[chr(c) for c in range(63, 127)], max_size=40)
+JSON_VALUE = st.recursive(st.none() | st.booleans() | st.integers(-1, 5) | st.text(max_size=3),
+                          lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+CERT_JSON = st.builds(json.dumps, JSON_VALUE) | st.builds(
+    lambda graph, kind, elements: json.dumps(
+        {"graph": graph, "kind": kind, "elements": elements}),
+    st.sampled_from(["?", "@", "Bw", "Cr", "C~", "DQc"]) | JSON_VALUE,
+    st.sampled_from(["CDC", "OCDC", "SOCDC", "OPPDC", "PPDC"]) | JSON_VALUE,
+    st.lists(st.lists(st.integers(-1, 5), max_size=5), max_size=5) | JSON_VALUE)
+
+
+def exit_code(argv) -> int:
+    """main's exit code, with output discarded and usage errors included."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestFuzz:
+    """Short arbitrary text as a graph or a certificate never escapes as an
+    exception: every run ends in exit code 0, 1 or 2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.text(max_size=40) | GRAPH6_TEXT)
+    def test_graph_text(self, text):
+        for argv in (["analyze"], ["search", "filter"], ["gen"]):
+            assert exit_code(argv + [f"--graph={text}"]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.text(max_size=40) | CERT_JSON)
+    def test_certificate_text(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "cert.json"
+            path.write_text(text, encoding="utf-8")
+            assert exit_code(["verify", str(path)]) in (0, 1, 2)
+            assert exit_code(["compose", "join", "--cert", str(path)]) in (0, 1, 2)

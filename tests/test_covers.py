@@ -1,13 +1,19 @@
 """Cover elements, verifiers, CDC orientation, certificates."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ocdc
 from ocdc.graphs import Graph, complete, cycle, petersen, complete_bipartite
 from ocdc.covers import (DirectedCycle, DirectedPath, MalformedCoverError,
-                         CoverCertificate, Infeasible, verify_ocdc,
+                         CoverCertificate, Infeasible, InternalConsistencyError,
+                         certify, verify_ocdc,
                          verify_socdc, verify_oppdc, verify_cdc, orient_cdc,
                          double_cycle_decomposition, small_by_girth,
                          cubic_bound_check)
@@ -85,6 +91,15 @@ class TestVerifiers:
         assert not rep.ok
         assert (("start", 1), 0, 1) in rep.violations
         assert (("end", 1), 0, 1) in rep.violations
+
+    def test_oppdc_path_outside_graph(self):
+        # one-vertex paths on vertices the host lacks are violations, not a
+        # valid cover with more paths than vertices
+        for n in (0, 1):
+            g = Graph(n, frozenset())
+            paths = [DirectedPath((v,)) for v in range(n)] + [DirectedPath((5,))]
+            rep = verify_oppdc(g, paths)
+            assert not rep.ok and (("degenerate", 5), 1, 0) in rep.violations
 
     def test_cdc_undirected(self):
         tri = DirectedCycle((0, 1, 2))
@@ -178,3 +193,59 @@ class TestCertificates:
             CoverCertificate.from_json("{nope")
         with pytest.raises(MalformedCoverError):
             CoverCertificate.from_json('{"kind": "OCDC"}')
+        for text in ['5', 'null', '[]', '"Bw"',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": 5}',
+                     '{"graph": [], "kind": "OCDC", "elements": []}',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": [[0, 1, "x"]]}',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": [["a", "b", "c"]]}',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": [[0, 1, true]]}',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": [[0, 1, 2.0]]}',
+                     '{"graph": "Bw", "kind": "OCDC", "elements": [5]}',
+                     '{"graph": "Bw", "kind": ["OCDC"], "elements": []}',
+                     '{"graph": "Bw", "kind": "PPDC", "elements": [[0, 1]]}',
+                     "[" * 100000]:
+            with pytest.raises(MalformedCoverError):
+                CoverCertificate.from_json(text)
+
+
+TRIANGLE_COVER = [DirectedCycle((0, 1, 2)), DirectedCycle((2, 1, 0))]
+
+
+class TestCertify:
+    def test_labels_cycle_covers_by_size(self):
+        assert certify(complete(4), "OCDC", K4_COVER, "t").kind == "OCDC"
+        cert = certify(cycle(3), "OCDC", TRIANGLE_COVER, "t")
+        assert cert.kind == "SOCDC" and cert.provenance == "t"
+
+    def test_failing_cover_raises(self):
+        with pytest.raises(InternalConsistencyError, match="fails verification"):
+            certify(complete(4), "SOCDC", K4_COVER, "t")  # 4 cycles, bound 3
+        with pytest.raises(InternalConsistencyError):
+            certify(complete(4), "OCDC", K4_COVER[:-1], "t")
+
+    def test_holds_under_python_O(self):
+        # a failing output verifier stops a builder, a surgery and a search
+        # even when asserts are compiled away
+        script = textwrap.dedent("""
+            import sys
+            from ocdc import builders, covers, search, surgery
+            from ocdc.graphs import complete, cycle
+            if __debug__:
+                sys.exit("not running under -O")
+            oppdc = search.find_oppdc(cycle(4)).certificate
+            covers.verify_ocdc = lambda g, cycles: covers.VerifyReport(False, [("arc", 0, 1)])
+            calls = {"socdc_complete_bipartite": lambda: builders.socdc_complete_bipartite(2, 3),
+                     "join_apex": lambda: surgery.join_apex(oppdc),
+                     "min_ocdc": lambda: search.min_ocdc(complete(4), 4)}
+            for name, call in calls.items():
+                try:
+                    call()
+                except covers.InternalConsistencyError:
+                    continue
+                sys.exit(f"{name} returned an unverified certificate")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ocdc.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -6,13 +6,13 @@ import itertools
 import networkx as nx
 import pytest
 
-from ocdc import search
+from ocdc import covers, search
 from ocdc.graphs import (Graph, complete, complete_bipartite, cycle, path,
                          petersen, k4_chain, wheel, prism)
 from ocdc.covers import (DirectedCycle, Infeasible, InternalConsistencyError,
                          VerifyReport, orient_cdc, verify_cdc, verify_ocdc,
                          verify_oppdc)
-from ocdc.search import (Budget, CoverEngine, enumerate_undirected_cycles,
+from ocdc.search import (CoverEngine, enumerate_undirected_cycles,
                          enumerate_directed_cycles, enumerate_directed_paths,
                          enumerate_cdcs, min_ocdc, find_socdc, find_oppdc,
                          find_unorientable_cdc, counterexample_filter)
@@ -237,11 +237,6 @@ class TestEngine:
         sols = sorted(tuple(s) for s in eng.solutions(max_rows=4))
         assert sols == [(0, 0), (0, 1), (1, 1)]  # repetition allowed, each once
 
-    def test_budget_copy(self):
-        b = Budget(5, 1.0)
-        c = b.copy()
-        assert c == b and c is not b
-
 
 class TestNodeParity:
     """Nodes expanded by searches whose order the engine must preserve."""
@@ -266,12 +261,12 @@ class TestCertification:
         return VerifyReport(False, [("arc", 0, 1)])
 
     def test_min_ocdc_checks_its_cover(self, monkeypatch):
-        monkeypatch.setattr(search, "verify_ocdc", self.failing)
+        monkeypatch.setattr(covers, "verify_ocdc", self.failing)
         with pytest.raises(InternalConsistencyError):
             min_ocdc(complete(4), 4)
 
     def test_find_oppdc_checks_its_cover(self, monkeypatch):
-        monkeypatch.setattr(search, "verify_oppdc", self.failing)
+        monkeypatch.setattr(covers, "verify_oppdc", self.failing)
         with pytest.raises(InternalConsistencyError):
             find_oppdc(cycle(4))
 

@@ -225,6 +225,12 @@ class TestApex:
         with pytest.raises(SpecError):
             strip_apex(sub, 5)
 
+    def test_strip_rejects_absent_apex(self):
+        cert = socdc_complete_odd(5)
+        for apex in (5, -1, None):
+            with pytest.raises(SpecError):
+                strip_apex(cert, apex)
+
     def test_join_rejects_degenerate(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         bad = CoverCertificate(g, "OPPDC",
@@ -233,6 +239,10 @@ class TestApex:
         # not a valid OPPDC anyway; SpecError either way
         with pytest.raises(SpecError):
             join_apex(bad)
+
+    def test_join_rejects_cycle_certificate(self):
+        with pytest.raises(SpecError, match="needs an OPPDC"):
+            join_apex(socdc_complete_odd(7))
 
 
 class TestProducts:
@@ -247,6 +257,10 @@ class TestProducts:
         lifted = prism_p2(oppdc_complete_odd(7))
         assert lifted.host.n == 14 and len(lifted.elements) == 7
         assert lifted.verify().ok
+
+    def test_prism_rejects_cycle_certificate(self):
+        with pytest.raises(SpecError, match="needs an OPPDC"):
+            prism_p2(socdc_complete_odd(7))
 
     def test_cycle_product_above_threshold(self):
         cert, small = product_cycle_large(triangle_cover(), 7)
