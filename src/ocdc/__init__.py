@@ -24,7 +24,7 @@ from .surgery import (MergeSpec, SpecError, CertificateInconsistency,
                       merge_at_cutvertex, subdivide, merge_2cut,
                       merge_2cut_special, merge_3edgecut, join_apex,
                       strip_apex, prism_p2, product_cycle_large, product_lift)
-from .search import (Budget, SearchOutcome, min_ocdc, find_socdc, find_oppdc,
+from .search import (SearchOutcome, min_ocdc, find_socdc, find_oppdc,
                      find_unorientable_cdc, enumerate_directed_cycles,
                      enumerate_undirected_cycles, enumerate_directed_paths,
                      enumerate_cdcs, counterexample_filter)

@@ -8,23 +8,21 @@ failure, NoneExists, provable nonexistence); 1 usage or operational error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
-from .graphs import (Graph, FamilyError, Graph6ParseError, RotationError,
-                     blocks, bridges, generate, girth_and_average_degree,
-                     is_bridgeless, nontrivial_3_edge_cuts, parse_graph6,
+from .graphs import (Graph, FamilyError, blocks, bridges, generate,
+                     girth_and_average_degree, nontrivial_3_edge_cuts, parse_graph6,
                      emit_graph6, planar_rotation, vertex_connectivity_at_most)
-from .covers import CoverCertificate, InternalConsistencyError, MalformedCoverError
+from .covers import CoverCertificate, InternalConsistencyError
 from . import builders
-from .builders import (DeskScaleError, NoSocdcExists, NotPlanarEmbedding,
-                       edge_color_cubic)
+from .builders import NoSocdcExists, NotPlanarEmbedding, edge_color_cubic
 from .surgery import (MergeSpec, SpecError, CertificateInconsistency,
                       SearchUnresolved, join_apex, merge_2cut,
                       merge_2cut_special, merge_3edgecut, merge_at_cutvertex,
-                      prism_p2, product_cycle_large, product_lift, strip_apex,
-                      subdivide)
+                      prism_p2, product_lift, strip_apex, subdivide)
 from .search import (BudgetExceeded, counterexample_filter, find_oppdc,
                      find_socdc, find_unorientable_cdc, min_ocdc)
 
@@ -63,7 +61,17 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _parse_map(text: str) -> dict[int, int]:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or not all(isinstance(v, (int, str)) for v in obj.values()):
+        raise SpecError(f"vertex map must be a JSON object of vertex ids, got {text!r}")
     return {int(k): int(v) for k, v in obj.items()}
+
+
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    obj = json.loads(text)
+    if not isinstance(obj, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in obj):
+        raise SpecError(f"cut edges must be a JSON list of [u, v] pairs, got {text!r}")
+    return [tuple(p) for p in obj]
 
 
 # ---------------------------------------------------------------------------
@@ -135,81 +143,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
-def cmd_compose(args) -> int:
-    op = args.op
-    if op == "cutvertex":
-        cert = merge_at_cutvertex(_load_cert(args.cert), _load_cert(args.cert2),
-                                  MergeSpec(_parse_map(args.map1), _parse_map(args.map2)))
-    elif op == "subdivide":
-        u, v = (int(x) for x in args.edge.split(","))
-        cert = subdivide(_load_cert(args.cert), (u, v))
-    elif op == "twocut":
-        cert = merge_2cut(_load_cert(args.cert), _load_cert(args.cert2),
-                          MergeSpec(_parse_map(args.map1), _parse_map(args.map2)),
-                          args.mode)
-    elif op == "twocut-special":
-        pieces = args.pieces.split(",")
-        if len(pieces) == 2:
-            cert = merge_2cut_special(tuple(pieces))
-        else:
-            cert = merge_2cut_special(pieces[0], _load_cert(args.cert2))
-    elif op == "threecut":
-        cut = [tuple(int(x) for x in pair) for pair in json.loads(args.cut_edges)]
-        cert = merge_3edgecut(_load_cert(args.cert), _load_cert(args.cert2),
-                              cut, args.w1, args.w2,
-                              MergeSpec(_parse_map(args.map1), _parse_map(args.map2)))
-    elif op == "join":
-        cert = join_apex(_load_cert(args.cert))
-    elif op == "strip":
-        cert = strip_apex(_load_cert(args.cert), args.apex)
-    elif op == "prism":
-        cert = prism_p2(_load_cert(args.cert))
-    elif op == "product":
-        base = _load_cert(args.cert)
-        fname, _, frest = args.factor.partition(":")
-        if fname == "cycle" and base.kind == "SOCDC" \
-                and int(frest) >= 2 * base.host.n + 1:
-            cert = product_cycle_large(base, int(frest))[0]
-        else:
-            cert = product_lift(base, args.factor, args.node_budget)
-    else:
-        raise SpecError(f"unknown compose operation {op!r}")
-    _emit(cert.to_json(), args.out)
-    return EXIT_OK
+def _merge_spec(args) -> MergeSpec:
+    return MergeSpec(_parse_map(args.map1), _parse_map(args.map2))
 
 
-def cmd_search(args) -> int:
-    what = args.what
-    g = _load_graph(args)
-    if what == "filter":
-        failed = counterexample_filter(g)
-        _emit(json.dumps({"violated": failed, "candidate": not failed}), args.out)
+def _twocut_special(args) -> CoverCertificate:
+    pieces = tuple(args.pieces.split(","))
+    if len(pieces) == 1:
+        return merge_2cut_special(pieces[0], None if args.cert2 is None else _load_cert(args.cert2))
+    if args.cert2 is not None:
+        raise SpecError("--cert2 goes with a single --pieces clique")
+    return merge_2cut_special(pieces)  # the table lookup rejects any other pattern
+
+
+def _emitting(surgery):
+    """The handler of a compose operation: emit the certificate surgery(args) returns."""
+    def handler(args) -> int:
+        _emit(surgery(args).to_json(), args.out)
         return EXIT_OK
-    if what == "unorientable-cdc":
-        try:
-            hit = find_unorientable_cdc(g, args.node_budget)
-        except BudgetExceeded:
-            _emit(json.dumps({"status": "Unresolved"}), args.out)
-            return EXIT_ERROR
-        if hit is None:
-            _emit(json.dumps({"status": "NotFound"}), args.out)
-            return EXIT_NEGATIVE
-        cdc, wit = hit
-        _emit(json.dumps({
-            "status": "Found",
-            "cdc": [list(c.vertices) for c in cdc],
-            "witness": {"cycle_indices": wit.cycle_indices, "parities": wit.parities},
-        }), args.out)
-        return EXIT_OK
-    if what == "socdc":
-        out = find_socdc(g, args.node_budget, args.time_budget)
-    elif what == "ocdc-min":
-        cap = args.max_count if args.max_count is not None else 2 * g.m // 3
-        out = min_ocdc(g, cap, args.node_budget, args.time_budget)
-    elif what == "oppdc":
-        out = find_oppdc(g, args.node_budget, args.time_budget)
-    else:
-        raise FamilyError(f"unknown search target {what!r}")
+    return handler
+
+
+def _report(args, search) -> int:
+    """Emit the outcome of search(graph, node_budget, time_budget)."""
+    out = search(_load_graph(args), args.node_budget, args.time_budget)
     payload = {
         "status": out.status,
         "lower_bound": out.lower_bound,
@@ -222,21 +179,50 @@ def cmd_search(args) -> int:
     return EXIT_NEGATIVE if out.status == "NoneExists" else EXIT_ERROR
 
 
+def cmd_ocdc_min(args) -> int:
+    def search(g, node_budget, time_budget):
+        cap = args.max_count if args.max_count is not None else 2 * g.m // 3
+        return min_ocdc(g, cap, node_budget, time_budget)
+    return _report(args, search)
+
+
+def cmd_unorientable_cdc(args) -> int:
+    g = _load_graph(args)
+    try:
+        hit = find_unorientable_cdc(g, args.node_budget)
+    except BudgetExceeded:
+        _emit(json.dumps({"status": "Unresolved"}), args.out)
+        return EXIT_ERROR
+    if hit is None:
+        _emit(json.dumps({"status": "NotFound"}), args.out)
+        return EXIT_NEGATIVE
+    cdc, wit = hit
+    _emit(json.dumps({
+        "status": "Found",
+        "cdc": [list(c.vertices) for c in cdc],
+        "witness": {"cycle_indices": wit.cycle_indices, "parities": wit.parities},
+    }), args.out)
+    return EXIT_OK
+
+
+def cmd_filter(args) -> int:
+    failed = counterexample_filter(_load_graph(args))
+    _emit(json.dumps({"violated": failed, "candidate": not failed}), args.out)
+    return EXIT_OK
+
+
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
     lines = [f"graph: {emit_graph6(g)}  n={g.n} m={g.m}"]
     br = bridges(g)
     lines.append(f"bridgeless: {not br}" + (f"  bridges: {br}" if br else ""))
-    if g.n >= 2 and g.is_connected():
-        for k in (1, 2):
-            cut = vertex_connectivity_at_most(g, k)
-            if cut is not None:
-                lines.append(f"vertex connectivity <= {k}: cut {list(cut)}")
-                break
-        else:
-            lines.append("vertex connectivity >= 3")
+    cut = vertex_connectivity_at_most(g, 2)  # a smallest cut, so a 1-cut when there is one
+    if cut is not None:
+        lines.append(f"vertex connectivity <= {len(cut)}: cut {list(cut)}")
+    elif g.n <= 3:  # K1, K2 or K3
+        lines.append(f"vertex connectivity {g.n - 1}")
     else:
-        lines.append("disconnected" if not g.is_connected() else "trivial")
+        lines.append("vertex connectivity >= 3")
     dec = blocks(g)
     lines.append(f"blocks: {len(dec.blocks)}  cut vertices: {sorted(dec.cut_vertices)}")
     cuts = nontrivial_3_edge_cuts(g)
@@ -271,86 +257,107 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# Options of the compose and search operations.  Each operation lists the
+# ones it reads, in usage notation: [--flag] is optional, --flag required.
+OPTIONS = {
+    "--family": {"help": "family spec such as petersen"},
+    "--graph": {"help": "graph6"},
+    "--cert": {"help": "first certificate path or -"},
+    "--cert2": {"help": "second certificate path"},
+    "--map1": {"help": "JSON piece-to-merged vertex map"},
+    "--map2": {"help": "JSON piece-to-merged vertex map"},
+    "--mode": {"choices": ["shared_edge", "no_edge"]},
+    "--pieces": {"help": "K4,K6 style pattern, or one clique glued onto --cert2"},
+    "--cut-edges": {"help": "JSON [[u,v],...]"},
+    "--w1": {"type": int, "help": "contracted vertex in piece one"},
+    "--w2": {"type": int, "help": "contracted vertex in piece two"},
+    "--apex": {"type": int},
+    "--edge": {"help": "u,v"},
+    "--factor": {"help": "path:n | cycle:n | tree:<graph6>"},
+    "--node-budget": {"type": int},
+    "--time-budget": {"type": float, "help": "wall-clock seconds"},
+    "--max-count": {"type": int},
+}
+GRAPH = "[--family] [--graph]"
+BUDGETS = "[--node-budget] [--time-budget]"
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; its handlers look library functions up when called."""
     parser = _Parser(
         prog="ocdc",
         description="oriented cycle double covers: build, compose, search, verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_op(group, op, usage, func, **kw):
+        """Operation op of group: the options in usage plus --out, run by func.
+        With abbreviations off, twocut-special does not read --cert as --cert2."""
+        p = group.add_parser(op, allow_abbrev=False, **kw)
+        for flag in usage.split():
+            name = flag.strip("[]")
+            p.add_argument(name, required=name == flag, **OPTIONS[name])
         p.add_argument("--out", help="write output here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="emit a graph as graph6")
+    p = add_op(sub, "gen", "[--family]", cmd_gen, help="emit a graph as graph6")
     p.add_argument("spec", nargs="?", help="family spec such as complete:6")
-    p.add_argument("--family")
     p.add_argument("--graph", help="graph6 passthrough")
-    add_common(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("build", help="run a closed-form constructor")
+    p = add_op(sub, "build", "", cmd_build, help="run a closed-form constructor")
     p.add_argument("target",
                    help="complete:n | bipartite:n,m | oppdc-complete:n | "
                         "planar:<family> | cubic:<family>")
-    add_common(p)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="check a certificate")
+    p = add_op(sub, "verify", "", cmd_verify, help="check a certificate")
     p.add_argument("cert", help="certificate path or - for stdin")
     p.add_argument("--graph", help="graph6 the host must equal")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compose", help="surgery on certificates")
-    p.add_argument("op", choices=["cutvertex", "subdivide", "twocut",
-                                  "twocut-special", "threecut", "join",
-                                  "strip", "prism", "product"])
-    p.add_argument("--cert", help="first certificate path or -")
-    p.add_argument("--cert2", help="second certificate path")
-    p.add_argument("--map1", help="JSON piece-to-merged vertex map")
-    p.add_argument("--map2", help="JSON piece-to-merged vertex map")
-    p.add_argument("--mode", choices=["shared_edge", "no_edge"])
-    p.add_argument("--pieces", help="K4,K6 style pattern for twocut-special")
-    p.add_argument("--cut-edges", dest="cut_edges", help="JSON [[u,v],...]")
-    p.add_argument("--w1", type=int, help="contracted vertex in piece one")
-    p.add_argument("--w2", type=int, help="contracted vertex in piece two")
-    p.add_argument("--apex", type=int)
-    p.add_argument("--edge", help="u,v for subdivide")
-    p.add_argument("--factor", help="path:n | cycle:n | tree:<graph6>")
-    p.add_argument("--node-budget", dest="node_budget", type=int, default=10**7)
-    add_common(p)
-    p.set_defaults(func=cmd_compose)
+    group = sub.add_parser("compose", help="surgery on certificates").add_subparsers(
+        dest="op", required=True)
+    for op, usage, surgery in [
+        ("cutvertex", "--cert --cert2 --map1 --map2", lambda a: merge_at_cutvertex(
+            _load_cert(a.cert), _load_cert(a.cert2), _merge_spec(a))),
+        ("subdivide", "--cert --edge",
+         lambda a: subdivide(_load_cert(a.cert), tuple(int(x) for x in a.edge.split(",")))),
+        ("twocut", "--cert --cert2 --map1 --map2 --mode", lambda a: merge_2cut(
+            _load_cert(a.cert), _load_cert(a.cert2), _merge_spec(a), a.mode)),
+        ("twocut-special", "--pieces [--cert2]", _twocut_special),
+        ("threecut", "--cert --cert2 --cut-edges --w1 --w2 --map1 --map2",
+         lambda a: merge_3edgecut(_load_cert(a.cert), _load_cert(a.cert2),
+                                  _parse_pairs(a.cut_edges), a.w1, a.w2, _merge_spec(a))),
+        ("join", "--cert", lambda a: join_apex(_load_cert(a.cert))),
+        ("strip", "--cert --apex", lambda a: strip_apex(_load_cert(a.cert), a.apex)),
+        ("prism", "--cert", lambda a: prism_p2(_load_cert(a.cert))),
+        ("product", "--cert --factor [--node-budget]",
+         lambda a: product_lift(_load_cert(a.cert), a.factor, a.node_budget)),
+    ]:
+        add_op(group, op, usage, _emitting(surgery))
+    group.choices["product"].set_defaults(node_budget=10**7)
 
-    p = sub.add_parser("search", help="exact-cover search and screening")
-    p.add_argument("what", choices=["socdc", "ocdc-min", "oppdc",
-                                    "unorientable-cdc", "filter"])
-    p.add_argument("--family")
-    p.add_argument("--graph", help="graph6")
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--node-budget", dest="node_budget", type=int)
-    p.add_argument("--time-budget", dest="time_budget", type=float,
-                   help="wall-clock seconds")
-    add_common(p)
-    p.set_defaults(func=cmd_search)
+    group = sub.add_parser("search", help="exact-cover search and screening").add_subparsers(
+        dest="what", required=True)
+    add_op(group, "socdc", f"{GRAPH} {BUDGETS}", lambda a: _report(a, find_socdc))
+    add_op(group, "ocdc-min", f"{GRAPH} {BUDGETS} [--max-count]", cmd_ocdc_min)
+    add_op(group, "oppdc", f"{GRAPH} {BUDGETS}", lambda a: _report(a, find_oppdc))
+    add_op(group, "unorientable-cdc", f"{GRAPH} [--node-budget]", cmd_unorientable_cdc)
+    add_op(group, "filter", GRAPH, cmd_filter)
 
-    p = sub.add_parser("analyze", help="structural report")
-    p.add_argument("--family")
-    p.add_argument("--graph")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
+    add_op(sub, "analyze", GRAPH, cmd_analyze, help="structural report")
     return parser
 
 
 NEGATIVE_ERRORS = (NoSocdcExists, NotPlanarEmbedding)
-OPERATIONAL_ERRORS = (FamilyError, Graph6ParseError, RotationError,
-                      MalformedCoverError, SpecError, CertificateInconsistency,
-                      DeskScaleError, SearchUnresolved, InternalConsistencyError,
-                      ValueError, OSError, json.JSONDecodeError)
+OPERATIONAL_ERRORS = (ValueError, OSError, CertificateInconsistency, SearchUnresolved,
+                      InternalConsistencyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads --flag=-- as an empty list
+        parser.error("an option needs a value other than --")
     try:
         return args.func(args)
     except NEGATIVE_ERRORS as exc:

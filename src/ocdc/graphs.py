@@ -86,14 +86,14 @@ class Graph:
         seen = self._component(0)
         return len(seen) == self.n
 
-    def _component(self, start: int, removed_vertices: frozenset[int] = frozenset(),
+    def _component(self, start: int,
                    removed_edges: frozenset[tuple[int, int]] = frozenset()) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
             u = stack.pop()
             for w in self._adj[u]:
-                if w in removed_vertices or _norm_edge(u, w) in removed_edges:
+                if _norm_edge(u, w) in removed_edges:
                     continue
                 if w not in seen:
                     seen.add(w)

@@ -26,15 +26,6 @@ class BudgetExceeded(Exception):
 
 
 @dataclass
-class Budget:
-    node_limit: Optional[int] = None
-    time_limit: Optional[float] = None  # seconds of wall clock
-
-    def deadline(self) -> Optional[float]:
-        return None if self.time_limit is None else time.monotonic() + self.time_limit
-
-
-@dataclass
 class SearchOutcome:
     status: str  # Found | NoneExists | Unresolved
     certificate: Optional[CoverCertificate] = None
@@ -265,7 +256,7 @@ def min_ocdc(g: Graph, max_count: int, node_budget: Optional[int] = None,
     if not prove_minimum:
         lower = max(lower, max_count)
     nodes_total = 0
-    deadline = Budget(node_budget, time_budget).deadline()
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     for k in range(lower, max_count + 1):
         try:
             limit = None if node_budget is None else node_budget - nodes_total
@@ -307,9 +298,9 @@ def find_oppdc(g: Graph, node_budget: Optional[int] = None,
         need[("e", v)] = 1
     cols = (itertools.chain(zip(vs, vs[1:]), (("s", vs[0]), ("e", vs[-1]))) for vs in rows)
     engine = CoverEngine(need, cols, [len(vs) - 1 for vs in rows], arcs)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     try:
-        sol = engine.first_solution(g.n, node_budget,
-                                    Budget(node_budget, time_budget).deadline())
+        sol = engine.first_solution(g.n, node_budget, deadline)
     except BudgetExceeded:
         return SearchOutcome("Unresolved", None, 0, engine.nodes)
     if sol is None:
@@ -369,12 +360,14 @@ def counterexample_filter(g: Graph) -> list[str]:
         failed.append("is the exception K4")
     if g.n == 6 and g.m == 15:
         failed.append("is the exception K6")
-    if not g.is_connected() or g.n < 3 or vertex_connectivity_at_most(g, 1) is not None:
+    # a smallest cut, so a 1-cut when there is one; () when g is disconnected or too small
+    cut = vertex_connectivity_at_most(g, 2) if g.is_connected() and g.n >= 3 else ()
+    if cut is not None and len(cut) < 2:
         failed.append("not 2-connected")
         return failed
     if any(g.degree(v) < 3 for v in range(g.n)):
         failed.append("minimum degree below 3")
-    if vertex_connectivity_at_most(g, 2) is not None:
+    if cut is not None or g.n <= 3:  # no graph on 3 or fewer vertices is 3-connected
         failed.append("not 3-connected")
     if not _edge_connectivity_at_least_3(g):
         failed.append("not 3-edge-connected")

@@ -41,7 +41,7 @@ class MergeSpec:
         return set(self.map1.values()) & set(self.map2.values())
 
 
-def _relabel_graph(g: Graph, mapping: dict[int, int], n: int) -> list[tuple[int, int]]:
+def _relabel_graph(g: Graph, mapping: dict[int, int]) -> list[tuple[int, int]]:
     if set(mapping) != set(range(g.n)):
         raise SpecError("relabeling must cover every piece vertex")
     return [(mapping[u], mapping[v]) for u, v in g.edges]
@@ -97,7 +97,7 @@ def merge_at_cutvertex(c1: CoverCertificate, c2: CoverCertificate,
         if not verify_socdc(c.host, c.elements).ok:
             raise SpecError("input certificate does not verify as a small cover")
     n = _merged_size(spec)
-    edges = _relabel_graph(c1.host, spec.map1, n) + _relabel_graph(c2.host, spec.map2, n)
+    edges = _relabel_graph(c1.host, spec.map1) + _relabel_graph(c2.host, spec.map2)
     g = Graph.from_edges(n, edges)
     cycles = _relabel_cycles(c1.elements, spec.map1) + _relabel_cycles(c2.elements, spec.map2)
     return certify(g, "SOCDC", cycles,
@@ -152,8 +152,8 @@ def merge_2cut(c1: CoverCertificate, c2: CoverCertificate, spec: MergeSpec,
         if not verify_ocdc(c.host, c.elements).ok:
             raise SpecError("input certificate does not verify as an OCDC")
     e = (v1, v2)
-    edges1 = _relabel_graph(c1.host, spec.map1, n)
-    edges2 = _relabel_graph(c2.host, spec.map2, n)
+    edges1 = _relabel_graph(c1.host, spec.map1)
+    edges2 = _relabel_graph(c2.host, spec.map2)
     if (e not in {tuple(sorted(x)) for x in edges1}
             or e not in {tuple(sorted(x)) for x in edges2}):
         raise SpecError("both pieces must contain the cut edge v1v2")
@@ -224,15 +224,13 @@ def _substitute_arc(c: DirectedCycle, arc: tuple[int, int], via: list[int]) -> D
     return DirectedCycle(tuple(vs + via[1:-1]))
 
 
-def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None,
-                       spec: Optional[MergeSpec] = None) -> CoverCertificate:
+def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None) -> CoverCertificate:
     """K4/K6 gluings across a 2-cut where the generic splice count is too big.
 
     pieces ("K4","K4"), ("K4","K6") or ("K6","K6"): the no-edge double
     clique gluing, returned from the transcribed explicit cycle tables.
     pieces "K4" or "K6" with c2 given: the clique is glued onto the cover
     c2 of G2 (which contains edge v1v2), and the edge stays in the graph.
-    spec optionally relabels the table's canonical numbering.
     """
     if isinstance(pieces, tuple):
         table = {("K4", "K4"): _TABLE_K4_K4, ("K4", "K6"): _TABLE_K4_K6,
@@ -246,9 +244,6 @@ def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None,
         edges += [(a, b) for a, b in itertools.combinations(g2_verts, 2) if (a, b) != (0, 1)]
         g = Graph.from_edges(len(set(g1_verts) | set(g2_verts)), edges)
         cycles = [DirectedCycle(tuple(vs)) for vs in table["cycles"]]
-        if spec is not None:
-            cycles = _relabel_cycles(cycles, spec.map1)
-            g = Graph.from_edges(g.n, _relabel_graph(g, spec.map1, _merged_size(spec)))
         return certify(g, "SOCDC", cycles, f"2-cut table {pieces[0]}+{pieces[1]}")
 
     entry = _EDGE_PRESENT.get(pieces)
@@ -353,6 +348,8 @@ def merge_3edgecut(c1: CoverCertificate, c2: CoverCertificate,
     m1[w1] = W1
     m2 = {p: m for m, p in inv2.items()}
     m2[w2] = W2
+    if set(m1) != set(range(c1.host.n)) or set(m2) != set(range(c2.host.n)):
+        raise SpecError("relabeling must cover every piece vertex")
     cyc1 = _relabel_cycles(c1.elements, m1)
     cyc2 = _relabel_cycles(c2.elements, m2)
 
@@ -567,11 +564,12 @@ def product_lift(cert: CoverCertificate, factor: str,
     """Small cover of G x factor, where factor is a spec like "path:3",
     "cycle:4", or any tree given as "tree:<graph6>".
 
-    The hypothesis cover (OPPDC for even-cycle and P2 factors, small cover
-    otherwise) is checked, then the product cover is found by bounded
-    exact-cover search; the factor theorems guarantee existence, so a
-    NoneExists outcome is an internal inconsistency and budget exhaustion
-    raises SearchUnresolved.
+    An OPPDC with P2 goes to prism_p2, a small cover with C_k, k >= 2|V(G)|+1,
+    to product_cycle_large.  Otherwise the hypothesis cover (OPPDC for
+    even-cycle and P2 factors, small cover otherwise) is checked and the
+    product cover is found by bounded exact-cover search; the factor theorems
+    guarantee existence, so NoneExists is an internal inconsistency and
+    budget exhaustion raises SearchUnresolved.
     """
     from .graphs import generate, parse_graph6 as _pg6
     from .search import find_socdc
@@ -592,6 +590,8 @@ def product_lift(cert: CoverCertificate, factor: str,
                 return prism_p2(cert)
             even_cycle = h.n == 2
         elif name == "cycle":
+            if cert.kind == "SOCDC" and h.n >= 2 * g.n + 1:
+                return product_cycle_large(cert, h.n)[0]
             even_cycle = h.n % 2 == 0
         else:
             raise SpecError(f"unsupported factor {factor!r}")

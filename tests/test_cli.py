@@ -9,15 +9,90 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocdc import cli
+from ocdc.builders import ocdc_k4, oppdc_complete_odd, socdc_complete_even, socdc_complete_odd
 from ocdc.cli import main
-from ocdc.covers import CoverCertificate
-from ocdc.graphs import complete, emit_graph6
+from ocdc.covers import CoverCertificate, DirectedCycle
+from ocdc.graphs import complete, cycle, emit_graph6
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_usage(capsys, *argv):
+    """run, with argparse's usage errors turned into their exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# The options each operation reads: (required, optional).
+COMPOSE_OPTIONS = {
+    "cutvertex": ("--cert --cert2 --map1 --map2", ""),
+    "subdivide": ("--cert --edge", ""),
+    "twocut": ("--cert --cert2 --map1 --map2 --mode", ""),
+    "twocut-special": ("--pieces", "--cert2"),
+    "threecut": ("--cert --cert2 --cut-edges --w1 --w2 --map1 --map2", ""),
+    "join": ("--cert", ""),
+    "prism": ("--cert", ""),
+    "strip": ("--cert --apex", ""),
+    "product": ("--cert --factor", "--node-budget"),
+}
+SEARCH_OPTIONS = {
+    "socdc": ("", "--family --graph --node-budget --time-budget"),
+    "oppdc": ("", "--family --graph --node-budget --time-budget"),
+    "ocdc-min": ("", "--family --graph --node-budget --time-budget --max-count"),
+    "unorientable-cdc": ("", "--family --graph --node-budget"),
+    "filter": ("", "--family --graph"),
+}
+OPERATIONS = [("compose", op, *opts) for op, opts in COMPOSE_OPTIONS.items()] + \
+    [("search", op, *opts) for op, opts in SEARCH_OPTIONS.items()]
+ALL_OPTIONS = sorted({flag for _, _, req, opt in OPERATIONS for flag in (req + " " + opt).split()})
+
+
+@pytest.fixture(scope="module")
+def cert_paths(tmp_path_factory):
+    """Certificate files: c3, k4, k5 and k8 covers, and the OPPDC k7."""
+    d = tmp_path_factory.mktemp("certs")
+    triangle = CoverCertificate(cycle(3), "SOCDC",
+                                [DirectedCycle((0, 1, 2)), DirectedCycle((2, 1, 0))], "triangle")
+    paths = {}
+    for name, cert in (("c3", triangle), ("k4", ocdc_k4()), ("k5", socdc_complete_odd(5)),
+                       ("k8", socdc_complete_even(8)), ("k7", oppdc_complete_odd(7))):
+        paths[name] = str(d / f"{name}.json")
+        Path(paths[name]).write_text(cert.to_json())
+    return paths
+
+
+@pytest.fixture(scope="module")
+def compose_argv(cert_paths):
+    """A command line that succeeds, for each compose operation: op -> {flag: value}."""
+    c3, k4, k5, k8, k7 = (cert_paths[k] for k in ("c3", "k4", "k5", "k8", "k7"))
+    return {
+        "cutvertex": {"--cert": c3, "--cert2": c3, "--map1": '{"0":0,"1":1,"2":2}',
+                      "--map2": '{"0":0,"1":3,"2":4}'},
+        "subdivide": {"--cert": k5, "--edge": "0,1"},
+        "twocut": {"--cert": c3, "--cert2": c3, "--map1": '{"0":0,"1":1,"2":2}',
+                   "--map2": '{"0":0,"1":1,"2":3}', "--mode": "shared_edge"},
+        "twocut-special": {"--pieces": "K4", "--cert2": c3},
+        "threecut": {"--cert": k4, "--cert2": k4, "--cut-edges": "[[0,3],[1,4],[2,5]]",
+                     "--w1": "3", "--w2": "3", "--map1": '{"0":0,"1":1,"2":2,"3":90}',
+                     "--map2": '{"0":3,"1":4,"2":5,"3":91}'},
+        "join": {"--cert": k7},
+        "strip": {"--cert": k8, "--apex": "7"},
+        "prism": {"--cert": k7},
+        "product": {"--cert": c3, "--factor": "cycle:7", "--node-budget": "1000"},
+    }
+
+
+def compose_line(op, options):
+    return ["compose", op] + [f"{flag}={value}" for flag, value in options.items()]
 
 
 class TestGen:
@@ -231,6 +306,31 @@ class TestCompose:
     def test_missing_cert_file(self, capsys):
         assert run(capsys, "compose", "join", "--cert", "/nonexistent.json")[0] == 1
 
+    def test_missing_or_garbled_options_exit_1(self, capsys, cert_paths):
+        k5 = cert_paths["k5"]
+        for argv in (["subdivide", "--cert", k5],
+                     ["twocut-special"],
+                     ["product", "--cert", k5],
+                     ["cutvertex", "--cert", k5, "--cert2", k5, "--map2", "{}"],
+                     ["threecut", "--cert", k5, "--cert2", k5, "--cut-edges", "[]",
+                      "--w1", "0", "--w2", "0", "--map2", "{}"],
+                     ["cutvertex", "--cert", k5, "--cert2", k5, "--map1", "[1]", "--map2", "{}"],
+                     ["twocut-special", "--pieces", "K4,K4,K4"],
+                     ["twocut-special", "--pieces", "K4"],
+                     ["twocut-special", "--pieces", "K4,K6", "--cert2", k5],
+                     ["join"],
+                     ["subdivide", "--cert", k5, "--edge=--"],
+                     ["product", "--cert", k5, "--factor", "cycle:11", "--node-budget=--"]):
+            code, out, err = run_usage(capsys, "compose", *argv)
+            assert code == 1 and out == "", argv
+            assert "error" in err and "Traceback" not in err, argv
+
+    def test_every_operation_runs(self, capsys, compose_argv):
+        for op, options in compose_argv.items():
+            code, out, err = run(capsys, *compose_line(op, options))
+            assert code == 0, (op, err)
+            assert CoverCertificate.from_json(out).verify().ok, op
+
 
 class TestAnalyze:
     def test_petersen_report(self, capsys):
@@ -245,11 +345,82 @@ class TestAnalyze:
         assert code == 0
         assert "conjecture exception" in out
 
+    @pytest.mark.parametrize("g6,line,violated", [
+        ("@", "vertex connectivity 0", ["not 2-connected"]),
+        ("A_", "vertex connectivity 1", ["not 2-connected"]),
+        ("Bw", "vertex connectivity 2",
+         ["minimum degree below 3", "not 3-connected", "not 3-edge-connected"]),
+        ("BW", "vertex connectivity <= 1: cut [2]", ["not 2-connected"]),
+        ("Cl", "vertex connectivity <= 2: cut [0, 2]",
+         ["minimum degree below 3", "not 3-connected", "not 3-edge-connected"]),
+    ])
+    def test_small_graphs(self, capsys, g6, line, violated):
+        code, out, _ = run(capsys, "analyze", "--graph", g6)
+        assert code == 0 and out.splitlines()[2] == line
+        code, out, _ = run(capsys, "search", "filter", "--graph", g6)
+        assert code == 0 and json.loads(out)["violated"] == violated
+
+    def test_disconnected_exits_1(self, capsys):
+        code, out, err = run(capsys, "analyze", "--graph", "A?")
+        assert code == 1 and out == ""
+        assert err == "ocdc: error: input graph must be connected\n"
+
+    def test_one_connectivity_call_each(self, capsys, monkeypatch):
+        from ocdc import graphs, search
+        calls = []
+
+        def counting(g, k):
+            calls.append(k)
+            return graphs.vertex_connectivity_at_most(g, k)
+        monkeypatch.setattr(cli, "vertex_connectivity_at_most", counting)
+        monkeypatch.setattr(search, "vertex_connectivity_at_most", counting)
+        assert run(capsys, "analyze", "--family", "petersen")[0] == 0
+        assert calls == [2, 2]
+
     def test_chain_cut_vertices(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "k4_chain:2")
         assert code == 0
         assert "cut vertices: [1]" in out
         assert "fails not 2-connected" in out
+
+
+class TestParser:
+    def test_each_operation_takes_exactly_its_options(self, capsys):
+        parser = cli.build_parser()
+        for group, op, required, optional in OPERATIONS:
+            base = [group, op]
+            for flag in required.split():
+                base += [flag, "shared_edge" if flag == "--mode" else "1"]
+            for flag in ALL_OPTIONS:
+                if flag in required.split():
+                    continue
+                argv = base + [flag, "1"]
+                if flag in optional.split():
+                    ns = parser.parse_args(argv)
+                    assert getattr(ns, flag[2:].replace("-", "_")) is not None, argv
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 1, argv
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, argv
+
+    def test_built_once(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        names = set(vars(cli))
+        assert run(capsys, "search", "filter", "--family", "petersen")[0] == 0
+        assert set(vars(cli)) == names
+
+    def test_no_state_between_parses(self):
+        parser = cli.build_parser()
+        product = parser.parse_args(["compose", "product", "--cert", "a", "--factor", "path:3"])
+        assert product.node_budget == 10**7
+        search = parser.parse_args(["search", "socdc", "--family", "petersen"])
+        assert search.node_budget is None and not hasattr(search, "factor")
+        again = parser.parse_args(["compose", "product", "--cert", "b", "--factor", "cycle:5",
+                                   "--node-budget", "7"])
+        assert (again.cert, again.node_budget) == ("b", 7)
+        assert parser.parse_args(["compose", "product", "--cert", "a",
+                                  "--factor", "path:3"]).node_budget == 10**7
 
 
 class TestOutFile:
@@ -280,9 +451,25 @@ def exit_code(argv) -> int:
             return exc.code
 
 
+GARBLED = sorted((op, flag) for op, (required, _) in COMPOSE_OPTIONS.items()
+                 for flag in required.split()
+                 if flag in ("--map1", "--map2", "--edge", "--pieces", "--cut-edges", "--factor"))
+# Short text, plus values shaped like the options' own: vertex maps, edge and
+# cut-edge lists, piece patterns and factor specs.
+GARBLE = (st.text(max_size=12) | st.builds(json.dumps, JSON_VALUE)
+          | st.text(alphabet="0123456789,-K", max_size=8)
+          | st.builds(json.dumps, st.dictionaries(st.sampled_from("01234"),
+                                                  st.integers(-1, 6) | st.none(), max_size=5))
+          | st.builds(json.dumps, st.lists(st.lists(st.integers(-1, 6), min_size=1, max_size=3),
+                                           min_size=2, max_size=4))
+          | st.builds("{}:{}".format, st.sampled_from(["path", "cycle", "tree"]),
+                      st.integers(-1, 4) | st.sampled_from(["@", "A_", "Bw", "BW"])))
+DROPPED = [(op, flag) for op, (required, _) in COMPOSE_OPTIONS.items() for flag in required.split()]
+
+
 class TestFuzz:
-    """Short arbitrary text as a graph or a certificate never escapes as an
-    exception: every run ends in exit code 0, 1 or 2."""
+    """Short arbitrary text as a graph, a certificate or a compose option
+    never escapes as an exception: every run ends in exit code 0, 1 or 2."""
 
     @settings(max_examples=40, deadline=None)
     @given(text=st.text(max_size=40) | GRAPH6_TEXT)
@@ -298,3 +485,16 @@ class TestFuzz:
             path.write_text(text, encoding="utf-8")
             assert exit_code(["verify", str(path)]) in (0, 1, 2)
             assert exit_code(["compose", "join", "--cert", str(path)]) in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(target=st.sampled_from(GARBLED), text=GARBLE)
+    def test_garbled_compose_option(self, compose_argv, target, text):
+        op, flag = target
+        assert exit_code(compose_line(op, {**compose_argv[op], flag: text})) in (0, 1, 2)
+
+    @pytest.mark.parametrize("op,dropped", DROPPED)
+    def test_compose_option_dropped(self, capsys, compose_argv, op, dropped):
+        options = {flag: v for flag, v in compose_argv[op].items() if flag != dropped}
+        code, out, err = run_usage(capsys, *compose_line(op, options))
+        assert code == 1 and out == ""
+        assert f"required: {dropped}" in err and "Traceback" not in err

@@ -287,6 +287,12 @@ class TestProducts:
         assert out.host == cartesian(cycle(4), cycle(4))
         assert out.verify().ok
 
+    def test_product_lift_long_cycle_uses_layers(self):
+        # C_k with k >= 2|V(G)|+1 takes the layer/column construction, not the search
+        out = product_lift(triangle_cover(), "cycle:7", node_budget=1)
+        assert out.host == cartesian(cycle(3), cycle(7))
+        assert out.provenance.startswith("layer/column product") and len(out.elements) == 20
+
     def test_product_lift_p2_uses_explicit_construction(self):
         c4 = find_oppdc(cycle(4)).certificate
         out = product_lift(c4, "path:2")
