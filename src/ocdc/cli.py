@@ -19,8 +19,7 @@ from .graphs import (Graph, FamilyError, blocks, bridges, generate,
 from .covers import CoverCertificate, InternalConsistencyError
 from . import builders
 from .builders import NoSocdcExists, NotPlanarEmbedding, edge_color_cubic
-from .surgery import (MergeSpec, SpecError, CertificateInconsistency,
-                      SearchUnresolved, join_apex, merge_2cut,
+from .surgery import (MergeSpec, SpecError, SearchUnresolved, join_apex, merge_2cut,
                       merge_2cut_special, merge_3edgecut, merge_at_cutvertex,
                       prism_p2, product_lift, strip_apex, subdivide)
 from .search import (BudgetExceeded, counterexample_filter, find_oppdc,
@@ -349,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 NEGATIVE_ERRORS = (NoSocdcExists, NotPlanarEmbedding)
-OPERATIONAL_ERRORS = (ValueError, OSError, CertificateInconsistency, SearchUnresolved,
-                      InternalConsistencyError)
+OPERATIONAL_ERRORS = (ValueError, OSError, SearchUnresolved, InternalConsistencyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

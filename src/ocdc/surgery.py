@@ -3,7 +3,8 @@
 Counts follow the splice arithmetic exactly: cut-vertex merge keeps
 |c1|+|c2| cycles, a 2-cut merge drops 1 (shared edge) or 2 (no edge),
 a 3-edge-cut merge drops 3, 2 or 1 depending on the endpoint pattern.
-Every operation returns its output through covers.certify.
+Every operation admits its input certificates through _admit and returns
+its output through covers.certify.
 """
 
 from __future__ import annotations
@@ -13,16 +14,27 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import Graph, cartesian, cycle as cycle_graph, path as path_graph
-from .covers import (CoverCertificate, DirectedCycle, DirectedPath, certify,
-                     verify_ocdc, verify_socdc)
+from .covers import (CoverCertificate, DirectedCycle, DirectedPath, InternalConsistencyError,
+                     certify)
 
 
 class SpecError(ValueError):
     """Merge specification inconsistent with the pieces."""
 
 
-class CertificateInconsistency(RuntimeError):
-    """A required cycle/arc pattern is absent from a supposedly valid input."""
+# still exported for importers; a theory failure on an admitted input
+CertificateInconsistency = InternalConsistencyError
+
+
+def _admit(cert: CoverCertificate, *kinds: str) -> None:
+    """The one way a certificate enters a surgery: its kind must be one of
+    kinds, and it must pass its own kind's verifier (looked up at call time)."""
+    if cert.kind not in kinds:
+        raise SpecError(f"surgery needs an {' or '.join(kinds)} certificate, got {cert.kind}")
+    rep = cert.verify()
+    if not rep.ok:
+        raise SpecError(f"{cert.kind} input ({cert.provenance}) does not verify: "
+                        f"{rep.violations[:5]}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +71,8 @@ def _merged_size(spec: MergeSpec) -> int:
 
 
 def _cycle_with_arc(cycles: Sequence[DirectedCycle], arc: tuple[int, int]) -> int:
-    hits = [i for i, c in enumerate(cycles) if arc in c.arcs()]
-    if len(hits) != 1:
-        raise CertificateInconsistency(
-            f"arc {arc} lies in {len(hits)} cycles, expected exactly one")
-    return hits[0]
+    """Index of the one cycle of an admitted cover that carries arc."""
+    return next(i for i, c in enumerate(cycles) if arc in c.arcs())
 
 
 def _rotate_to_end(c: DirectedCycle, arc: tuple[int, int]) -> list[int]:
@@ -78,9 +87,6 @@ def _splice(ca: DirectedCycle, cb: DirectedCycle, v1: int, v2: int) -> DirectedC
     """Delete arc v1->v2 from ca and v2->v1 from cb, concatenate the paths."""
     pa = _rotate_to_end(ca, (v1, v2))   # v2 ... v1
     pb = _rotate_to_end(cb, (v2, v1))   # v1 ... v2
-    inner = set(pa[1:-1]) & set(pb[1:-1])
-    if inner:
-        raise CertificateInconsistency(f"splice would repeat vertices {inner}")
     return DirectedCycle(tuple(pa + pb[1:-1]))
 
 
@@ -93,9 +99,8 @@ def merge_at_cutvertex(c1: CoverCertificate, c2: CoverCertificate,
     """Glue two small covers at one shared vertex; counts simply add."""
     if len(spec.overlap()) != 1:
         raise SpecError(f"pieces must share exactly one vertex, got {sorted(spec.overlap())}")
-    for c in (c1, c2):
-        if not verify_socdc(c.host, c.elements).ok:
-            raise SpecError("input certificate does not verify as a small cover")
+    _admit(c1, "SOCDC")
+    _admit(c2, "SOCDC")
     n = _merged_size(spec)
     edges = _relabel_graph(c1.host, spec.map1) + _relabel_graph(c2.host, spec.map2)
     g = Graph.from_edges(n, edges)
@@ -110,8 +115,7 @@ def subdivide(c: CoverCertificate, edge: tuple[int, int]) -> CoverCertificate:
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError(f"{edge} is not an edge of the host")
-    if not verify_socdc(g, c.elements).ok:
-        raise SpecError("input certificate does not verify")
+    _admit(c, "SOCDC")
     x = g.n
     edges = [e for e in g.edges if e != (min(u, v), max(u, v))] + [(u, x), (v, x)]
     g2 = Graph.from_edges(g.n + 1, edges)
@@ -148,9 +152,8 @@ def merge_2cut(c1: CoverCertificate, c2: CoverCertificate, spec: MergeSpec,
         raise SpecError(f"pieces must share exactly two vertices, got {sorted(overlap)}")
     v1, v2 = sorted(overlap)
     n = _merged_size(spec)
-    for c in (c1, c2):
-        if not verify_ocdc(c.host, c.elements).ok:
-            raise SpecError("input certificate does not verify as an OCDC")
+    _admit(c1, "OCDC", "SOCDC")
+    _admit(c2, "OCDC", "SOCDC")
     e = (v1, v2)
     edges1 = _relabel_graph(c1.host, spec.map1)
     edges2 = _relabel_graph(c2.host, spec.map2)
@@ -251,8 +254,7 @@ def merge_2cut_special(pieces, c2: Optional[CoverCertificate] = None) -> CoverCe
         raise SpecError(f"no edge-present construction for {pieces!r}")
     if c2 is None:
         raise SpecError("edge-present gluing needs the partner cover c2")
-    if not verify_socdc(c2.host, c2.elements).ok:
-        raise SpecError("partner cover does not verify as a small cover")
+    _admit(c2, "SOCDC")
     k = entry["clique"]
     # clique vertices v1,v2 identify with merged 0,1; v3.. become fresh ids
     base = c2.host.n
@@ -289,10 +291,7 @@ def _cycles_through(cycles: Sequence[DirectedCycle], w: int) -> dict[int, tuple[
         vs = c.vertices
         if w in vs:
             j = vs.index(w)
-            pred, succ = vs[j - 1], vs[(j + 1) % len(vs)]
-            if pred in out:
-                raise CertificateInconsistency(f"two cycles enter {w} from {pred}")
-            out[pred] = (i, succ)
+            out[vs[j - 1]] = (i, vs[(j + 1) % len(vs)])
     return out
 
 
@@ -317,13 +316,13 @@ def merge_3edgecut(c1: CoverCertificate, c2: CoverCertificate,
 
     The cycle labeling the construction needs is found by trying the edge
     permutations and whole-cover reversals that the underlying symmetry
-    allows; absence of any match is a certificate inconsistency.
+    allows; once the cut edges join the neighbours of w1 to those of w2,
+    one always matches.
     """
     if len(cut_edges) != 3:
         raise SpecError("exactly three cut edges required")
-    for c in (c1, c2):
-        if not verify_ocdc(c.host, c.elements).ok:
-            raise SpecError("input certificate does not verify as an OCDC")
+    _admit(c1, "OCDC", "SOCDC")
+    _admit(c2, "OCDC", "SOCDC")
     us = [u for u, _ in cut_edges]
     vs_ = [v for _, v in cut_edges]
     if len(set(us)) == 3 and len(set(vs_)) == 3:
@@ -348,39 +347,28 @@ def merge_3edgecut(c1: CoverCertificate, c2: CoverCertificate,
     m1[w1] = W1
     m2 = {p: m for m, p in inv2.items()}
     m2[w2] = W2
-    if set(m1) != set(range(c1.host.n)) or set(m2) != set(range(c2.host.n)):
-        raise SpecError("relabeling must cover every piece vertex")
+    edges = [e for e in _relabel_graph(c1.host, m1) + _relabel_graph(c2.host, m2)
+             if W1 not in e and W2 not in e]
+    if ({m1[x] for x in c1.host.neighbors(w1)} != set(us)
+            or {m2[x] for x in c2.host.neighbors(w2)} != set(vs_)):
+        raise SpecError("cut edges must join the neighbours of w1 to those of w2")
+    g = Graph.from_edges(n, edges + list(cut_edges))
     cyc1 = _relabel_cycles(c1.elements, m1)
     cyc2 = _relabel_cycles(c2.elements, m2)
-
-    deg1 = 3 if pattern == "distinct" else 2
-    deg2 = 3 if pattern in ("distinct", "shared_tail") else 2
 
     for rev1, rev2, perm in _labelings(pattern):
         a1 = [c.reversed() for c in cyc1] if rev1 else cyc1
         a2 = [c.reversed() for c in cyc2] if rev2 else cyc2
         edges_p = [cut_edges[i] for i in perm]
-        got = _try_3cut(a1, a2, edges_p, W1, W2, pattern, deg1, deg2)
+        got = _try_3cut(a1, a2, edges_p, W1, W2, pattern)
         if got is not None:
             new_cycles, drop1, drop2 = got
             kept = [c for j, c in enumerate(a1) if j not in drop1]
             kept += [c for j, c in enumerate(a2) if j not in drop2]
-            cycles = kept + new_cycles
-            eset = set()
-            for u, v in c1.host.edges:
-                if w1 in (u, v):
-                    continue
-                eset.add((min(m1[u], m1[v]), max(m1[u], m1[v])))
-            for u, v in c2.host.edges:
-                if w2 in (u, v):
-                    continue
-                eset.add((min(m2[u], m2[v]), max(m2[u], m2[v])))
-            for u, v in cut_edges:
-                eset.add((min(u, v), max(u, v)))
-            return certify(Graph.from_edges(n, eset), "OCDC", cycles,
+            return certify(g, "OCDC", kept + new_cycles,
                            f"3-edge-cut merge ({pattern}) of "
                            f"[{c1.provenance}] and [{c2.provenance}]")
-    raise CertificateInconsistency(
+    raise InternalConsistencyError(
         "no labeling of the cut edges matches the covers' cycle structure at the contracted vertices")
 
 
@@ -397,18 +385,13 @@ def _labelings(pattern: str):
                 yield rev1, rev2, perm
 
 
-def _try_3cut(cyc1, cyc2, edges, W1, W2, pattern, deg1, deg2):
+def _try_3cut(cyc1, cyc2, edges, W1, W2, pattern):
     """Attempt the case construction under one labeling; None if the
     required directed paths through the contracted vertices are absent."""
     us = [u for u, _ in edges]
     vs = [v for _, v in edges]
-    try:
-        t1 = _cycles_through(cyc1, W1)
-        t2 = _cycles_through(cyc2, W2)
-    except CertificateInconsistency:
-        return None
-    if len(t1) != deg1 or len(t2) != deg2:
-        return None
+    t1 = _cycles_through(cyc1, W1)
+    t2 = _cycles_through(cyc2, W2)
 
     def pick(table, enter, leave):
         hit = table.get(enter)
@@ -473,10 +456,7 @@ def _try_3cut(cyc1, cyc2, edges, W1, W2, pattern, deg1, deg2):
 def join_apex(p: CoverCertificate) -> CoverCertificate:
     """Turn an OPPDC of G into a small cover of G joined with one new vertex."""
     g = p.host
-    if p.kind != "OPPDC":
-        raise SpecError(f"apex join needs an OPPDC certificate, got {p.kind}")
-    if not p.verify().ok:
-        raise SpecError("input does not verify as an OPPDC")
+    _admit(p, "OPPDC")
     apex = g.n
     edges = list(g.edges) + [(v, apex) for v in range(g.n)]
     g2 = Graph.from_edges(g.n + 1, edges)
@@ -489,18 +469,12 @@ def strip_apex(c: CoverCertificate, apex: int) -> CoverCertificate:
     g = c.host
     if apex not in range(g.n) or g.degree(apex) != g.n - 1:
         raise SpecError(f"vertex {apex} is not adjacent to all others")
-    if not verify_socdc(g, c.elements).ok:
-        raise SpecError("input does not verify as a small cover")
+    _admit(c, "SOCDC")
     relabel = {v: (v if v < apex else v - 1) for v in range(g.n) if v != apex}
-    paths = []
-    for cyc in c.elements:
-        if apex not in cyc.vertices:
-            raise CertificateInconsistency(
-                "a cycle avoids the apex although the count forces all through it")
-        vs = cyc.vertices
-        j = vs.index(apex)
-        tail = vs[j + 1:] + vs[:j]
-        paths.append(DirectedPath(tuple(relabel[v] for v in tail)))
+    # the n-1 arcs out of the apex lie on n-1 distinct cycles, so every cycle
+    # of a small cover passes through it
+    paths = [DirectedPath(tuple(relabel[v] for v in _path_without(cyc, apex)))
+             for cyc in c.elements]
     edges = [(relabel[u], relabel[v]) for u, v in g.edges if apex not in (u, v)]
     return certify(Graph.from_edges(g.n - 1, edges), "OPPDC", paths,
                    f"apex strip of [{c.provenance}]")
@@ -511,12 +485,8 @@ def prism_p2(p: CoverCertificate) -> CoverCertificate:
 
     Vertex (u, layer) is numbered 2u + layer, matching cartesian(G, P2).
     """
-    g = p.host
-    if p.kind != "OPPDC":
-        raise SpecError(f"prism lift needs an OPPDC certificate, got {p.kind}")
-    if not p.verify().ok:
-        raise SpecError("input does not verify as an OPPDC")
-    prod = cartesian(g, path_graph(2))
+    _admit(p, "OPPDC")
+    prod = cartesian(p.host, path_graph(2))
     cycles = []
     for q in p.elements:
         fwd = [2 * v for v in q.vertices]
@@ -534,8 +504,7 @@ def product_cycle_large(c: CoverCertificate, n: int) -> tuple[CoverCertificate, 
     g = c.host
     if n < 3:
         raise ValueError("cycle factor needs n >= 3")
-    if not verify_socdc(g, c.elements).ok:
-        raise SpecError("input does not verify as a small cover")
+    _admit(c, "SOCDC")
     prod = cartesian(g, cycle_graph(n))
     cycles = []
     for i in range(n):
@@ -575,38 +544,33 @@ def product_lift(cert: CoverCertificate, factor: str,
     from .search import find_socdc
 
     g = cert.host
+    name = factor.split(":")[0]
     if factor.startswith("tree:"):
         h = _pg6(factor[len("tree:"):])
         if h.m != h.n - 1 or not h.is_connected():
             raise SpecError("tree factor is not a tree")
         even_cycle = False
+    elif name not in ("path", "cycle"):
+        raise SpecError(f"unsupported factor {factor!r}")
     else:
         h = generate(factor)
-        name = factor.split(":")[0]
         if name == "path":
             if h.n < 2:
                 raise SpecError("path factor needs length >= 2")
             if h.n == 2 and cert.kind == "OPPDC":
                 return prism_p2(cert)
             even_cycle = h.n == 2
-        elif name == "cycle":
+        else:
             if cert.kind == "SOCDC" and h.n >= 2 * g.n + 1:
                 return product_cycle_large(cert, h.n)[0]
             even_cycle = h.n % 2 == 0
-        else:
-            raise SpecError(f"unsupported factor {factor!r}")
-    if even_cycle and cert.kind != "OPPDC":
-        raise SpecError("even-cycle and P2 factors need an OPPDC of G")
-    if cert.kind not in ("SOCDC", "OPPDC"):
-        raise SpecError("factor needs a small cover (or OPPDC) of G")
-    if not cert.verify().ok:
-        raise SpecError("hypothesis cover does not verify")
+    _admit(cert, *(("OPPDC",) if even_cycle else ("SOCDC", "OPPDC")))
     prod = cartesian(g, h)
     out = find_socdc(prod, node_budget, prove_minimum=False)
     if out.status == "Unresolved":
         raise SearchUnresolved(out)
     if out.status == "NoneExists":
-        raise CertificateInconsistency(
+        raise InternalConsistencyError(
             "product theorem guarantees a small cover but exhaustive search found none")
     cert2 = out.certificate
     cert2.provenance = f"search-backed product lift of [{cert.provenance}] with {factor}"

@@ -282,17 +282,20 @@ class TestCompose:
 
     def test_product_size_check_exits_1(self, capsys, tmp_path, monkeypatch):
         # product_cycle_large certifies the size bound a long cycle factor
-        # guarantees, also under -O
+        # guarantees, also under -O; the verifier fails only on the 21-vertex
+        # product, so the C3 input still passes the input gate
         from ocdc import covers
         _, out, _ = run(capsys, "search", "socdc", "--family", "cycle:3")
         p = tmp_path / "c3.json"
         p.write_text(json.dumps(json.loads(out)["certificate"]))
+        real = covers.verify_socdc
         monkeypatch.setattr(covers, "verify_socdc", lambda g, cycles: covers.VerifyReport(
-            False, [("size", len(cycles), g.n - 1)]))
+            False, [("size", len(cycles), g.n - 1)]) if g.n == 21 else real(g, cycles))
         code, out2, err = run(capsys, "compose", "product", "--cert", str(p),
                               "--factor", "cycle:7")
         assert code == 1 and out2 == ""
         assert "'size'" in err and "Traceback" not in err
+        assert "fails verification" in err
 
     def test_join_on_cycle_certificate_exits_1(self, capsys, tmp_path):
         _, out, _ = run(capsys, "build", "complete:7")
@@ -302,6 +305,26 @@ class TestCompose:
             code, out2, err = run(capsys, "compose", op, "--cert", str(p))
             assert code == 1 and out2 == ""
             assert "needs an OPPDC" in err
+
+    def test_twocut_on_oppdc_exits_1(self, capsys, cert_paths):
+        code, out, err = run(capsys, "compose", "twocut", "--cert", cert_paths["k7"],
+                             "--cert2", cert_paths["k5"],
+                             "--map1", json.dumps({v: v for v in range(7)}),
+                             "--map2", '{"0":0,"1":1,"2":7,"3":8,"4":9}',
+                             "--mode", "shared_edge")
+        assert code == 1 and out == ""
+        assert "needs an" in err and "fails verification" not in err
+
+    def test_product_unsupported_factor_exits_1(self, capsys, cert_paths, monkeypatch):
+        from ocdc import graphs
+
+        def refuse(spec):
+            raise AssertionError(f"built the factor {spec}")
+        monkeypatch.setattr(graphs, "generate", refuse)
+        code, out, err = run(capsys, "compose", "product", "--cert", cert_paths["k5"],
+                             "--factor", "hypercube:30")
+        assert code == 1 and out == ""
+        assert "unsupported factor" in err
 
     def test_missing_cert_file(self, capsys):
         assert run(capsys, "compose", "join", "--cert", "/nonexistent.json")[0] == 1

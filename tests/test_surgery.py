@@ -2,8 +2,10 @@
 
 import pytest
 
+import ocdc
+from ocdc import graphs
 from ocdc.graphs import Graph, complete, cycle, path, cartesian, petersen
-from ocdc.covers import (CoverCertificate, DirectedCycle, DirectedPath,
+from ocdc.covers import (CoverCertificate, DirectedCycle, DirectedPath, InternalConsistencyError,
                          verify_ocdc, verify_oppdc, verify_socdc)
 from ocdc.search import find_oppdc, find_socdc, min_ocdc
 from ocdc.surgery import (MergeSpec, SpecError, CertificateInconsistency,
@@ -22,6 +24,11 @@ def triangle_cover() -> CoverCertificate:
 
 def identity_map(n: int, offset: int = 0) -> dict:
     return {v: v + offset for v in range(n)}
+
+
+def labelled(cert: CoverCertificate, kind: str) -> CoverCertificate:
+    """The same elements under another kind label."""
+    return CoverCertificate(cert.host, kind, cert.elements, cert.provenance)
 
 
 class TestCutVertex:
@@ -193,6 +200,14 @@ class TestThreeCut:
         with pytest.raises(SpecError):
             merge_3edgecut(c, c, [(0, 4), (1, 4), (2, 4)], 4, 4, spec)
 
+    def test_cut_edges_must_meet_the_contracted_neighbours(self):
+        # vertex 3 of side one is not a neighbour of w1 = 4
+        spec = MergeSpec({0: 0, 1: 1, 2: 2, 3: 3, 4: 90},
+                         {0: 4, 1: 5, 2: 6, 3: 7, 4: 91})
+        c = piece_with_w([0, 1, 2])
+        with pytest.raises(SpecError, match="neighbours of w1"):
+            merge_3edgecut(c, c, [(0, 4), (1, 5), (3, 6)], 4, 4, spec)
+
 
 class TestApex:
     def test_join_then_strip(self):
@@ -297,3 +312,93 @@ class TestProducts:
         c4 = find_oppdc(cycle(4)).certificate
         out = product_lift(c4, "path:2")
         assert "prism" in out.provenance
+
+
+class TestProductFactor:
+    def test_unsupported_factor_rejected_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the factor graph was built")
+        monkeypatch.setattr(graphs, "generate", refuse)
+        monkeypatch.setattr(graphs, "parse_graph6", refuse)
+        for factor in ("hypercube:15", "complete:4", "petersen", "tree"):
+            with pytest.raises(SpecError, match="unsupported factor"):
+                product_lift(socdc_complete_odd(3), factor)
+
+
+SPEC_CUTVERTEX = MergeSpec(identity_map(3), {0: 0, 1: 3, 2: 4})
+SPEC_2CUT = MergeSpec(identity_map(3), {0: 0, 1: 1, 2: 3})
+SPEC_3CUT = MergeSpec({0: 0, 1: 1, 2: 2, 3: 3, 4: 90}, {0: 4, 1: 5, 2: 6, 3: 7, 4: 91})
+CUT_EDGES = [(0, 4), (1, 5), (2, 6)]
+
+
+def w_piece():
+    return piece_with_w([0, 1, 2])
+
+
+# (surgery, input cover, a kind the surgery does not admit, the call); each
+# input's elements pass the verifier of a kind the surgery does admit
+WRONG_KIND = [
+    ("merge_at_cutvertex", triangle_cover, "OCDC",
+     lambda c: merge_at_cutvertex(c, triangle_cover(), SPEC_CUTVERTEX)),
+    ("merge_at_cutvertex:c2", triangle_cover, "OCDC",
+     lambda c: merge_at_cutvertex(triangle_cover(), c, SPEC_CUTVERTEX)),
+    ("subdivide", triangle_cover, "OCDC", lambda c: subdivide(c, (0, 1))),
+    ("merge_2cut", triangle_cover, "CDC",
+     lambda c: merge_2cut(c, triangle_cover(), SPEC_2CUT, "shared_edge")),
+    ("merge_2cut:c2", triangle_cover, "CDC",
+     lambda c: merge_2cut(triangle_cover(), c, SPEC_2CUT, "no_edge")),
+    ("merge_2cut_special", triangle_cover, "OCDC", lambda c: merge_2cut_special("K4", c)),
+    ("merge_3edgecut", w_piece, "CDC",
+     lambda c: merge_3edgecut(c, w_piece(), CUT_EDGES, 4, 4, SPEC_3CUT)),
+    ("merge_3edgecut:c2", w_piece, "CDC",
+     lambda c: merge_3edgecut(w_piece(), c, CUT_EDGES, 4, 4, SPEC_3CUT)),
+    ("join_apex", lambda: oppdc_complete_odd(7), "OPPDC",
+     lambda c: join_apex(labelled(c, "SOCDC"))),
+    ("strip_apex", triangle_cover, "OCDC", lambda c: strip_apex(c, 2)),
+    ("prism_p2", lambda: find_oppdc(cycle(4)).certificate, "OPPDC",
+     lambda c: prism_p2(labelled(c, "SOCDC"))),
+    ("product_cycle_large", triangle_cover, "OCDC", lambda c: product_cycle_large(c, 7)),
+    ("product_lift", triangle_cover, "OCDC",
+     lambda c: product_lift(c, "path:3", node_budget=10**6)),
+    ("product_lift:even", triangle_cover, "SOCDC",
+     lambda c: product_lift(c, "cycle:4", node_budget=10**5)),
+]
+
+
+class TestAdmission:
+    """Each surgery admits its input certificates by kind and checks each
+    with its own kind's verifier."""
+
+    @pytest.mark.parametrize("base,kind,call", [row[1:] for row in WRONG_KIND],
+                             ids=[row[0] for row in WRONG_KIND])
+    def test_every_surgery_rejects_a_wrong_kind(self, base, kind, call):
+        with pytest.raises(SpecError, match=r"needs an .* certificate, got "):
+            call(labelled(base(), kind))
+
+    def test_oppdc_into_merge_2cut(self):
+        # an OPPDC covers each arc once, so its paths pass the OCDC verifier
+        k7 = oppdc_complete_odd(7)
+        assert verify_ocdc(k7.host, k7.elements).ok
+        spec = MergeSpec(identity_map(7), {0: 0, 1: 1, 2: 7, 3: 8, 4: 9})
+        with pytest.raises(SpecError, match="needs an OCDC or SOCDC certificate, got OPPDC"):
+            merge_2cut(k7, socdc_complete_odd(5), spec, "shared_edge")
+
+    def test_oppdc_into_merge_3edgecut(self):
+        k4 = find_oppdc(complete(4)).certificate
+        spec = MergeSpec({0: 0, 1: 1, 2: 2, 3: 90}, {0: 3, 1: 4, 2: 5, 3: 91})
+        with pytest.raises(SpecError, match="got OPPDC"):
+            merge_3edgecut(k4, ocdc_k4(), [(0, 3), (1, 4), (2, 5)], 3, 3, spec)
+
+    def test_cdc_kind_into_merge_2cut(self):
+        with pytest.raises(SpecError, match="got CDC"):
+            merge_2cut(labelled(triangle_cover(), "CDC"), triangle_cover(),
+                       SPEC_2CUT, "shared_edge")
+
+    def test_rejection_lists_violations(self):
+        broken = CoverCertificate(cycle(3), "SOCDC", [DirectedCycle((0, 1, 2))], "half")
+        with pytest.raises(SpecError, match=r"SOCDC input \(half\) does not verify: \[\("):
+            subdivide(broken, (0, 1))
+
+    def test_inconsistency_is_an_internal_consistency_error(self):
+        assert CertificateInconsistency is InternalConsistencyError
+        assert ocdc.CertificateInconsistency is InternalConsistencyError
