@@ -16,7 +16,7 @@ from .graphs import (Graph, RotationSystem, complete, complete_bipartite,
 from .covers import (CoverCertificate, DirectedCycle, DirectedPath, Infeasible,
                      InternalConsistencyError, certify,
                      double_cycle_decomposition, orient_cdc)
-from .surgery import join_apex
+from .surgery import _rotate_to_end, join_apex
 
 
 class NoSocdcExists(ValueError):
@@ -87,54 +87,44 @@ def socdc_complete_odd(n: int) -> CoverCertificate:
 def oppdc_complete_odd(n: int) -> CoverCertificate:
     """An oriented perfect path double cover of K_n, n odd >= 7.
 
-    An arc-count argument forces all n paths Hamiltonian, so a sequential
-    Hamiltonian-path backtracking over starts 0..n-1 is an exact search;
-    the result is verified before use.
+    The doubled Walecki decomposition covers every arc once with n-1
+    directed Hamiltonian cycles.  A depth-first search from vertex 0
+    (neighbours in increasing order) finds a transversal Hamiltonian path
+    x_0 ... x_{n-1}, one whose n-1 arcs lie in n-1 distinct cycles.
+    Cutting each cycle at its arc x_i->x_{i+1} leaves a Hamiltonian path
+    from x_{i+1} to x_i; these and the transversal path cover every arc
+    once.  The starts are x_1..x_{n-1} and x_0, the ends x_0..x_{n-2} and
+    x_{n-1}, so every vertex starts exactly one path and ends exactly one.
     """
     if n % 2 == 0 or n < 7:
         raise ValueError("oppdc_complete_odd needs odd n >= 7")
     if n > 15:
         raise DeskScaleError(f"K{n} path cover search beyond desk scale")
     g = complete(n)
-    arcs = {a for a in g.arcs()}
-    used_end = [False] * n
-    paths: list[tuple[int, ...]] = []
+    cycles = double_cycle_decomposition(g, hamiltonian_decomposition_odd(n))
+    cycle_of = {a: i for i, c in enumerate(cycles) for a in c.arcs()}
+    path, used = [0], set()
 
-    def build(start: int) -> bool:
-        path = [start]
-        on = {start}
+    def extend() -> bool:
+        if len(path) == n:
+            return True
+        for w in range(n):
+            i = cycle_of.get((path[-1], w))
+            if w in path or i in used:
+                continue
+            path.append(w)
+            used.add(i)
+            if extend():
+                return True
+            path.pop()
+            used.discard(i)
+        return False
 
-        def extend() -> bool:
-            u = path[-1]
-            if len(path) == n:
-                if used_end[u]:
-                    return False
-                used_end[u] = True
-                paths.append(tuple(path))
-                if len(paths) == n or build(len(paths)):
-                    return True
-                paths.pop()
-                used_end[u] = False
-                return False
-            for w in range(n):
-                if w in on or (u, w) not in arcs:
-                    continue
-                arcs.discard((u, w))
-                path.append(w)
-                on.add(w)
-                if extend():
-                    return True
-                on.discard(w)
-                path.pop()
-                arcs.add((u, w))
-            return False
-
-        return extend()
-
-    if not build(0):
-        raise InternalConsistencyError(f"no Hamiltonian path cover of K{n} found")
-    return certify(g, "OPPDC", [DirectedPath(p) for p in paths],
-                   f"sequential Hamiltonian path cover search on K{n}")
+    extend()  # when no path is found, certify rejects the lone path (0,)
+    paths = [DirectedPath(tuple(_rotate_to_end(cycles[cycle_of[a]], a)))
+             for a in zip(path, path[1:])]
+    return certify(g, "OPPDC", paths + [DirectedPath(tuple(path))],
+                   f"doubled Walecki cycles of K{n} cut along a transversal Hamiltonian path")
 
 
 def socdc_complete_even(n: int) -> CoverCertificate:

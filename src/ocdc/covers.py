@@ -321,14 +321,17 @@ def cubic_bound_check(g: Graph, cdc: Sequence[DirectedCycle]) -> bool:
 KINDS = ("CDC", "OCDC", "SOCDC", "OPPDC")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverCertificate:
+    """Immutable, since a cached certificate is shared by every caller."""
+
     host: Graph
     kind: str
-    elements: list[Element]
+    elements: tuple[Element, ...]
     provenance: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
         if self.kind not in KINDS:
             raise MalformedCoverError(f"unknown certificate kind {self.kind!r}")
 
@@ -375,7 +378,7 @@ class CoverCertificate:
                                 obj.get("provenance", ""))
 
 
-def certify(g: Graph, kind: str, elements: list[Element], provenance: str) -> CoverCertificate:
+def certify(g: Graph, kind: str, elements: Sequence[Element], provenance: str) -> CoverCertificate:
     """The one way a certificate leaves the library: build it, run its
     kind's verifier, and raise InternalConsistencyError if that fails (an
     explicit raise, so it also holds under python -O).

@@ -309,10 +309,9 @@ def find_oppdc(g: Graph, node_budget: Optional[int] = None,
     return SearchOutcome("Found", cert, len(sol), engine.nodes)
 
 
-def enumerate_cdcs(g: Graph, node_budget: Optional[int] = None,
-                   max_count: Optional[int] = None) -> Iterator[list[DirectedCycle]]:
-    """Stream CDCs (reference-directed cycles, each edge covered twice),
-    each multiset of cycles once."""
+def enumerate_cdcs(g: Graph, node_budget: Optional[int] = None) -> Iterator[list[DirectedCycle]]:
+    """Stream CDCs (reference-directed cycles, each edge covered twice) of
+    at most 2m/3 cycles, each multiset of cycles once."""
     rows = _cycle_rows(g, None, False)
     edges = set(g.edges)
     engine = CoverEngine({e: 2 for e in edges},
@@ -320,8 +319,7 @@ def enumerate_cdcs(g: Graph, node_budget: Optional[int] = None,
                           for vs in rows),
                          [len(vs) for vs in rows],
                          edges)
-    cap = max_count if max_count is not None else 2 * g.m // 3
-    for sol in engine.solutions(cap, node_budget):
+    for sol in engine.solutions(2 * g.m // 3, node_budget):
         yield [DirectedCycle(rows[i]) for i in sol]
 
 

@@ -10,7 +10,7 @@ its output through covers.certify.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .graphs import Graph, cartesian, cycle as cycle_graph, path as path_graph
@@ -184,18 +184,18 @@ def merge_2cut(c1: CoverCertificate, c2: CoverCertificate, spec: MergeSpec,
 
 # explicit tables for the K4/K6 special gluings, transcribed 1-based -> 0-based
 _TABLE_K4_K4 = {
-    "n1": 4, "n2": 4,
+    "n1": 4,
     "g2_verts": [0, 1, 4, 5],
     "cycles": [[0, 3, 2, 1, 4, 5], [0, 4, 1, 2], [0, 2, 3, 1, 5, 4], [0, 5, 1, 3]],
 }
 _TABLE_K4_K6 = {
-    "n1": 4, "n2": 6,
+    "n1": 4,
     "g2_verts": [0, 1, 4, 5, 6, 7],
     "cycles": [[0, 5, 4, 6, 7, 1, 2], [0, 2, 3, 1, 7], [0, 6, 5, 7, 4, 1, 3],
                [0, 4, 7, 6, 1, 5], [0, 7, 5, 1, 6, 4], [0, 3, 2, 1, 4, 5, 6]],
 }
 _TABLE_K6_K6 = {
-    "n1": 6, "n2": 6,
+    "n1": 6,
     "g2_verts": [0, 1, 6, 7, 8, 9],
     "cycles": [[0, 5, 3, 4, 2, 1, 6, 8, 7, 9], [0, 2, 4, 3, 5, 1, 9, 7, 8, 6],
                [0, 3, 2, 5, 4, 1, 8, 9, 6, 7], [0, 4, 5, 2, 3, 1, 7, 6, 9, 8],
@@ -572,6 +572,5 @@ def product_lift(cert: CoverCertificate, factor: str,
     if out.status == "NoneExists":
         raise InternalConsistencyError(
             "product theorem guarantees a small cover but exhaustive search found none")
-    cert2 = out.certificate
-    cert2.provenance = f"search-backed product lift of [{cert.provenance}] with {factor}"
-    return cert2
+    return replace(out.certificate,
+                   provenance=f"search-backed product lift of [{cert.provenance}] with {factor}")

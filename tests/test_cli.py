@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -325,6 +326,23 @@ class TestCompose:
                              "--factor", "hypercube:30")
         assert code == 1 and out == ""
         assert "unsupported factor" in err
+
+    def test_readme_compose_lines(self, capsys, tmp_path, monkeypatch):
+        # p.json, a.json and b.json as the README builds them
+        monkeypatch.chdir(tmp_path)
+        for name, target in (("p", "oppdc-complete:7"), ("a", "complete:5"),
+                             ("b", "complete:5")):
+            code, out, _ = run(capsys, "build", target)
+            assert code == 0
+            (tmp_path / f"{name}.json").write_text(out)
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [shlex.split(line.split("#")[0]) for line in readme.read_text().splitlines()
+                 if line.startswith("ocdc compose ")]
+        assert [argv[2] for argv in lines] == ["join", "twocut"]
+        for argv in lines:
+            code, out, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)
+            assert CoverCertificate.from_json(out).verify().ok, argv
 
     def test_missing_cert_file(self, capsys):
         assert run(capsys, "compose", "join", "--cert", "/nonexistent.json")[0] == 1

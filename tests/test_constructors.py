@@ -53,18 +53,35 @@ class TestEvenComplete:
         with pytest.raises(NoSocdcExists):
             socdc_complete_even(6)
 
-    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
     def test_apex_pipeline(self, n):
         cert = socdc_complete_even(n)
         assert cert.verify().ok
         assert cert.host.edges == complete(n).edges
         assert len(cert.elements) == n - 1
 
-    def test_oppdc_fixture(self):
-        cert = oppdc_complete_odd(7)
+    @pytest.mark.parametrize("n", [7, 9, 11, 13, 15])
+    def test_oppdc(self, n):
+        cert = oppdc_complete_odd(n)
         assert verify_oppdc(cert.host, cert.elements).ok
-        assert len(cert.elements) == 7
-        assert all(len(p) == 7 for p in cert.elements)  # all paths Hamiltonian
+        assert len(cert.elements) == n
+        assert all(len(p) == n for p in cert.elements)  # all paths Hamiltonian
+        oppdc_complete_odd.cache_clear()
+        assert oppdc_complete_odd(n).to_json() == cert.to_json()  # deterministic
+
+    def test_cached_oppdc_is_immutable(self):
+        cert = oppdc_complete_odd(7)
+        with pytest.raises(AttributeError):
+            cert.elements.pop()
+        with pytest.raises(AttributeError):
+            cert.elements = []
+        assert oppdc_complete_odd(7) is cert and cert.verify().ok
+        assert socdc_complete_even(8).verify().ok
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_oppdc_rejects_small_or_even(self, n):
+        with pytest.raises(ValueError):
+            oppdc_complete_odd(n)
 
     def test_desk_scale(self):
         with pytest.raises(DeskScaleError):
